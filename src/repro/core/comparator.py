@@ -10,9 +10,13 @@ real) execution-unit error, never modeling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.isa.opcodes import Opcode
+from repro.sim.events import IssueEvent
+from repro.sim.vexec import Val, py_lanes
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,51 @@ class ResultComparator:
         self.detections.append(event)
         return event
 
+    def verify(self, executor, event: IssueEvent, originals: Sequence[int],
+               verifiers: Sequence[int], cycle: int, mode: str) -> None:
+        """Functional DMR: re-execute *event* and compare, per lane pair.
+
+        ``originals[k]`` is re-executed on ``verifiers[k]``; pairs are
+        compared in sequence order, so detections come out in the order
+        of the per-lane loop.  When the executor can recompute the
+        whole event at once (:meth:`Executor.reexecute_event
+        <repro.sim.executor.Executor.reexecute_event>`), one array
+        comparison replaces the loop and only mismatching pairs reach
+        :meth:`compare`.  Otherwise — an event inside a live fault
+        window, or one recorded by the scalar engine — every pair goes
+        through ``reexecute_lane``, which applies the fault hook lane by
+        lane in pair order.
+        """
+        batch = executor.reexecute_event(event, cycle)
+        opcode = event.instruction.opcode
+        if batch is None:
+            inputs = event.lane_inputs
+            results = event.lane_results
+            for lane, verifier in zip(originals, verifiers):
+                if lane not in inputs:
+                    # no datapath computation on this lane (EXIT/JMP/BAR
+                    # style bookkeeping issues have nothing to re-execute)
+                    continue
+                value = executor.reexecute_lane(event, lane, verifier, cycle)
+                self.compare(cycle, event.sm_id, event.warp_id, event.pc,
+                             opcode, lane, verifier, results[lane], value,
+                             mode)
+            return
+        hw_lanes, original, redundant = batch
+        n = len(hw_lanes)
+        equal = lanes_equal(original, redundant, n)
+        if equal.all():
+            return
+        column = {hw_lanes[i]: i for i in np.flatnonzero(~equal).tolist()}
+        original_values = py_lanes(original, n)
+        redundant_values = py_lanes(redundant, n)
+        for lane, verifier in zip(originals, verifiers):
+            i = column.get(lane)
+            if i is not None:
+                self.compare(cycle, event.sm_id, event.warp_id, event.pc,
+                             opcode, lane, verifier, original_values[i],
+                             redundant_values[i], mode)
+
     @property
     def detection_count(self) -> int:
         return len(self.detections)
@@ -115,3 +164,19 @@ def _values_equal(a: object, b: object) -> bool:
             return True
         return a == b
     return a == b
+
+
+def lanes_equal(a: Val, b: Val, n: int) -> np.ndarray:
+    """Lane-wise :func:`_values_equal` over two *n*-lane result columns.
+
+    Float lanes keep the comparator's value semantics, not raw bit
+    equality: ``0.0 == -0.0`` and NaN equals NaN.  Columns whose lanes
+    mix int and float tags take Python's exact int-vs-float equality
+    lane by lane.
+    """
+    if a.isf is None and b.isf is None:
+        return np.equal(a.i, b.i)
+    if a.isf is True and b.isf is True:
+        return np.equal(a.f, b.f) | (np.isnan(a.f) & np.isnan(b.f))
+    return np.fromiter(map(_values_equal, py_lanes(a, n), py_lanes(b, n)),
+                       dtype=bool, count=n)

@@ -61,6 +61,8 @@ class ReplayChecker:
         # (warp_id, reg) -> producing entry still unverified in the queue
         self._unverified: Dict[Tuple[int, int], ReplayQEntry] = {}
         self._executor: Optional[Executor] = None
+        # (hw_mask, width) -> (original lanes, verifier lanes)
+        self._pairs: Dict[Tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Hooks called by the DMR controller
@@ -221,33 +223,28 @@ class ReplayChecker:
                                        shuffled=self.config.lane_shuffle)
         if not (self.functional_verify and self._executor is not None):
             return
-        for lane in active_lane_list(event.hw_mask, event.warp_width):
-            if mask is not None and not (mask >> lane) & 1:
-                # partial thread protection: unprotected lane, no replay
-                continue
-            if lane not in event.lane_inputs:
-                # no datapath computation on this lane (EXIT/JMP/BAR
-                # style bookkeeping issues have nothing to re-execute)
-                continue
-            verifier = (
-                shuffled_lane(lane, self.cluster_size)
-                if self.config.lane_shuffle else lane
+        originals, verifiers = self._lane_pairs(event.hw_mask,
+                                                event.warp_width)
+        self.comparator.verify(self._executor, event, originals, verifiers,
+                               cycle, "inter")
+
+    def _lane_pairs(self, hw_mask: int, width: int) -> tuple:
+        """``(originals, verifiers)`` replayed for an issue mask: the
+        active lanes partial thread protection leaves protected, and
+        the lane each is replayed on (lane shuffling's permutation)."""
+        key = (hw_mask, width)
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            mask = self.config.protected_mask
+            originals = active_lane_list(
+                hw_mask if mask is None else hw_mask & mask, width)
+            verifiers = (
+                tuple(shuffled_lane(lane, self.cluster_size)
+                      for lane in originals)
+                if self.config.lane_shuffle else originals
             )
-            verify_value = self._executor.reexecute_lane(
-                event, lane, verifier, cycle
-            )
-            self.comparator.compare(
-                cycle=cycle,
-                sm_id=event.sm_id,
-                warp_id=event.warp_id,
-                pc=event.pc,
-                opcode=event.instruction.opcode,
-                original_lane=lane,
-                verifier_lane=verifier,
-                original_value=event.lane_results[lane],
-                verify_value=verify_value,
-                mode="inter",
-            )
+            pairs = self._pairs[key] = (originals, verifiers)
+        return pairs
 
     # ------------------------------------------------------------------
     @property

@@ -12,7 +12,7 @@ for highly utilized warps.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.common.bitops import active_lane_list
 from repro.core.comparator import ResultComparator
@@ -42,6 +42,8 @@ class IntraWarpDMR:
         # partial thread protection: only originals in this lane mask
         # are re-executed (None = every active lane, the full scheme)
         self.protected_mask = protected_mask
+        # (hw_mask, width) -> memoized pairing (see _pairing)
+        self._pairings: Dict[Tuple[int, int], tuple] = {}
 
     def process(self, event: IssueEvent,
                 executor: Optional[Executor]) -> int:
@@ -49,43 +51,41 @@ class IntraWarpDMR:
 
         Zero-cost: no stall cycles are ever charged.
         """
-        pairs = self.rfu.pair_warp(event.hw_mask, event.warp_width)
-        if self.protected_mask is not None:
-            pairs = {
-                verifier: original for verifier, original in pairs.items()
-                if (self.protected_mask >> original) & 1
-            }
-        verified_lanes = set(pairs.values())
-
+        originals, verifiers, verified = self._pairing(event.hw_mask,
+                                                       event.warp_width)
         self.stats.inc("intra_warp_instructions")
-        self.stats.inc("intra_warp_verified_lanes", len(verified_lanes))
-        self.stats.inc("intra_warp_redundant_executions", len(pairs))
+        self.stats.inc("intra_warp_verified_lanes", verified)
+        self.stats.inc("intra_warp_redundant_executions", len(verifiers))
         self.stats.inc(
             f"intra_redundant_lanes_{event.instruction.unit.value}",
-            len(pairs),
+            len(verifiers),
         )
         if self.probe is not None:
-            self.probe.on_intra_pairing(event, len(verified_lanes),
-                                        len(pairs))
+            self.probe.on_intra_pairing(event, verified, len(verifiers))
 
         if self.functional_verify and executor is not None:
-            for verifier_lane, original_lane in pairs.items():
-                verify_value = executor.reexecute_lane(
-                    event, original_lane, verifier_lane, event.cycle
-                )
-                self.comparator.compare(
-                    cycle=event.cycle,
-                    sm_id=event.sm_id,
-                    warp_id=event.warp_id,
-                    pc=event.pc,
-                    opcode=event.instruction.opcode,
-                    original_lane=original_lane,
-                    verifier_lane=verifier_lane,
-                    original_value=event.lane_results[original_lane],
-                    verify_value=verify_value,
-                    mode="intra",
-                )
-        return len(verified_lanes)
+            self.comparator.verify(executor, event, originals, verifiers,
+                                   event.cycle, "intra")
+        return verified
+
+    def _pairing(self, hw_mask: int, width: int) -> tuple:
+        """``(originals, verifiers, verified lane count)`` of the RFU
+        pairing for an issue mask, in the RFU's pair order; memoized,
+        since a kernel issues under a handful of distinct masks."""
+        key = (hw_mask, width)
+        pairing = self._pairings.get(key)
+        if pairing is None:
+            pairs = self.rfu.pair_warp(hw_mask, width)
+            if self.protected_mask is not None:
+                pairs = {
+                    verifier: original
+                    for verifier, original in pairs.items()
+                    if (self.protected_mask >> original) & 1
+                }
+            originals = tuple(pairs.values())
+            pairing = (originals, tuple(pairs), len(set(originals)))
+            self._pairings[key] = pairing
+        return pairing
 
     def verified_mask(self, event: IssueEvent) -> int:
         """Mask of active lanes that this cycle's pairing verifies."""

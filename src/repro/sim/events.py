@@ -17,7 +17,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import UnitType
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IssueEvent:
     """One dynamic warp-instruction issue.
 
@@ -29,6 +29,13 @@ class IssueEvent:
         hw lane -> the value the original execution produced on that
         lane (ALU result, computed address for memory ops, branch
         taken/not-taken flag, SETP outcome).
+    ``capture``
+        set by the vector engine instead of the two dicts: the decoded
+        instruction plus copies of its input and result columns
+        (:class:`repro.sim.vexec.LaneCapture`), which functional verify
+        re-executes in one kernel call.  The dicts are built from it on
+        first access; from then on they are the record (writes through
+        them are honoured) and the capture is dropped.
     """
 
     cycle: int
@@ -39,9 +46,48 @@ class IssueEvent:
     logical_mask: ActiveMask
     hw_mask: ActiveMask
     warp_width: int
-    lane_inputs: Dict[int, Tuple] = field(default_factory=dict)
-    lane_results: Dict[int, object] = field(default_factory=dict)
     dest_reg: Optional[int] = None
+    capture: Optional[object] = field(default=None, repr=False)
+    _inputs: Optional[Dict[int, Tuple]] = field(default=None, init=False,
+                                               repr=False)
+    _results: Optional[Dict[int, object]] = field(default=None, init=False,
+                                                 repr=False)
+
+    def _materialize(self) -> None:
+        capture = self.capture
+        if capture is None:
+            self._inputs, self._results = {}, {}
+        else:
+            self._inputs, self._results = capture.lane_dicts()
+            self.capture = None
+
+    @property
+    def lane_inputs(self) -> Dict[int, Tuple]:
+        if self._inputs is None:
+            self._materialize()
+        return self._inputs
+
+    @property
+    def lane_results(self) -> Dict[int, object]:
+        if self._results is None:
+            self._materialize()
+        return self._results
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality over the whole record (``ReplayQ.remove``
+        relies on it); the dicts are built only when the rest matches."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.cycle, self.sm_id, self.warp_id, self.pc,
+             self.instruction, self.logical_mask, self.hw_mask,
+             self.warp_width, self.dest_reg)
+            == (other.cycle, other.sm_id, other.warp_id, other.pc,
+                other.instruction, other.logical_mask, other.hw_mask,
+                other.warp_width, other.dest_reg)
+            and self.lane_inputs == other.lane_inputs
+            and self.lane_results == other.lane_results
+        )
 
     @property
     def unit(self) -> UnitType:

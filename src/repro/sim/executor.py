@@ -3,10 +3,12 @@
 Three layers:
 
 * :func:`compute_lane` — the *pure* scalar ALU: opcode + operand values
-  in, result value out.  Every DMR re-execution and the scalar
-  (slow-path) interpreter go through this single function, so a
+  in, result value out.  The scalar (slow-path) interpreter and every
+  per-lane DMR re-execution go through this single function, so a
   redundant execution is bit-identical unless a fault model perturbs
-  one of them.
+  one of them.  (Vector-captured issues re-execute through the same
+  :mod:`~repro.sim.vexec` kernel that produced them; see
+  :meth:`Executor.reexecute_event`.)
 * :mod:`repro.sim.vexec` — the lane-vectorized fast path: per-program
   decode cache plus compiled per-opcode NumPy kernels that execute a
   whole warp issue at once.
@@ -23,10 +25,13 @@ bitwise operations act on the unsigned 32-bit pattern.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.common.bitops import ActiveMask, active_lane_list
 from repro.common.errors import SimulationError
@@ -268,6 +273,7 @@ class Executor:
         #: result payloads stay byte-identical across engines)
         self.vector_issues = 0
         self.scalar_issues = 0
+        self._fp_quiet = False
 
     def bind_program(self, program) -> None:
         """Attach *program*'s decode cache for O(1) per-pc lookups."""
@@ -332,6 +338,26 @@ class Executor:
         return entry if entry.fn is not None else None
 
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def fp_quiet(self) -> Iterator[None]:
+        """Silence NumPy floating-point warnings inside the block.
+
+        The vector kernels reproduce Python float semantics (``inf``,
+        ``nan``, signed zeros) on purpose, so the warnings are noise.
+        :meth:`SM.run <repro.sim.sm.SM.run>` enters this once per launch;
+        :meth:`execute` and :meth:`reexecute_event` enter it themselves
+        only when called outside one.
+        """
+        if self._fp_quiet:
+            yield
+            return
+        self._fp_quiet = True
+        try:
+            with np.errstate(all="ignore"):
+                yield
+        finally:
+            self._fp_quiet = False
+
     def execute(self, warp: Warp, inst: Instruction, pc: int,
                 cycle: int) -> ExecResult:
         """Execute *inst* for the warp's current active mask.
@@ -340,6 +366,13 @@ class Executor:
         immediately; timing is the SM's job.  The returned event captures
         per-lane inputs and results for DMR re-execution.
         """
+        if self._fp_quiet:
+            return self._execute(warp, inst, pc, cycle)
+        with self.fp_quiet():
+            return self._execute(warp, inst, pc, cycle)
+
+    def _execute(self, warp: Warp, inst: Instruction, pc: int,
+                 cycle: int) -> ExecResult:
         stash = warp.mega_stash
         if stash is not None:
             return self._consume_stash(warp, stash, inst, pc, cycle)
@@ -399,6 +432,8 @@ class Executor:
                 pass  # state untouched; re-run the issue below
 
         self.scalar_issues += 1
+        lane_inputs = event.lane_inputs
+        lane_results = event.lane_results
         taken_mask = 0
         for slot in active_lane_list(exec_mask, warp.live_slots):
             hw_lane = warp.lane_of_slot[slot]
@@ -417,8 +452,8 @@ class Executor:
             value = self.fault_hook.apply(
                 self.sm_id, inst.unit, hw_lane, cycle, raw
             )
-            event.lane_inputs[hw_lane] = inputs
-            event.lane_results[hw_lane] = value
+            lane_inputs[hw_lane] = inputs
+            lane_results[hw_lane] = value
 
             if op is Opcode.BRA:
                 if value:
@@ -512,3 +547,27 @@ class Executor:
         return self.fault_hook.apply(
             event.sm_id, event.instruction.unit, verify_lane, cycle, raw
         )
+
+    def reexecute_event(self, event: IssueEvent, cycle: int):
+        """Redundantly recompute every captured lane of *event* at once.
+
+        Returns ``(hw_lanes, original, redundant)`` — the hardware lane
+        of each column and the original and redundant result columns
+        (:class:`~repro.sim.vexec.Val`) — or ``None`` when the event must
+        be verified lane by lane with :meth:`reexecute_lane`: it was not
+        captured by the vector engine, or the fault hook may perturb a
+        computation on this SM at *cycle*.  Skipping the hook is exact
+        only where it provably cannot fire, the same gate the vector
+        issue path uses.
+        """
+        capture = event.capture
+        if capture is None or (
+                self._faulty
+                and self.fault_hook.may_perturb(event.sm_id, cycle)):
+            return None
+        if self._fp_quiet:
+            redundant = capture.reexecute()
+        else:
+            with self.fp_quiet():
+                redundant = capture.reexecute()
+        return capture.hw_lanes, capture.result, redundant

@@ -243,19 +243,20 @@ class SM:
         if self._batcher is None and self.fusion_allowed():
             from repro.sim.megakernel import WarpBatcher
             WarpBatcher([self]).attach()
-        while self._has_work():
-            self._tick()
-            if self.cycle > self.max_cycles:
-                raise SimulationError(
-                    f"SM {self.sm_id} exceeded {self.max_cycles} cycles; "
-                    "likely a livelocked kernel (barrier divergence or "
-                    "non-terminating loop)"
-                )
-        if self.dmr is not None:
-            flush = self.dmr.on_kernel_end(self.cycle)
-            if flush:
-                self._book_stall("flush", flush)
-            self.cycle += flush
+        with self.executor.fp_quiet():
+            while self._has_work():
+                self._tick()
+                if self.cycle > self.max_cycles:
+                    raise SimulationError(
+                        f"SM {self.sm_id} exceeded {self.max_cycles} "
+                        "cycles; likely a livelocked kernel (barrier "
+                        "divergence or non-terminating loop)"
+                    )
+            if self.dmr is not None:
+                flush = self.dmr.on_kernel_end(self.cycle)
+                if flush:
+                    self._book_stall("flush", flush)
+                self.cycle += flush
         self.stats.counter("cycles_total").set(self.cycle)
         return self.stats
 

@@ -16,12 +16,13 @@ Bit-identity with the scalar path is a hard contract: every handler
 reproduces :func:`repro.sim.executor.compute_lane` exactly (i32
 wrap-around, truncating division, Python ``min``/``max`` NaN ordering,
 SETP's per-lane int-vs-float comparison rule), and issue events carry
-the same Python-native per-lane inputs and results, so the RFU /
-ReplayQ / comparator layers cannot tell which engine executed an
-instruction.  Anything the vector engine cannot reproduce exactly — a
-register value outside the planes, a float operand to an integer op, a
-non-finite F2I — raises :class:`VectorFallback` *before any state is
-mutated* and the issue re-runs on the scalar path.
+the same Python-native per-lane inputs and results (built on demand
+from a :class:`LaneCapture`), so the RFU / ReplayQ / comparator layers
+cannot tell which engine executed an instruction.  Anything the vector
+engine cannot reproduce exactly — a register value outside the planes,
+a float operand to an integer op, a non-finite F2I — raises
+:class:`VectorFallback` *before any state is mutated* and the issue
+re-runs on the scalar path.
 
 The SFU opcodes are "list-mapped": operands are gathered vectorized,
 but the transcendental itself runs through the same ``math`` routines
@@ -140,7 +141,7 @@ def _to_lanes(x, n) -> np.ndarray:
     return x
 
 
-def _py(val: Val, n: int) -> list:
+def py_lanes(val: Val, n: int) -> list:
     """Per-lane Python values with the exact scalar-path types."""
     isf = val.isf
     if isf is None:
@@ -500,14 +501,21 @@ def decoded(program) -> List[DecodedInst]:
 # ----------------------------------------------------------------------
 # Issue execution
 # ----------------------------------------------------------------------
-def _gather(warp, sel, plan) -> Val:
+def _gather(warp, sel, plan, copy: bool) -> Val:
+    """One operand column; *copy* detaches register-plane views (a
+    full-warp ``sel`` is a slice) so the capture outlives the issue."""
     kind, payload = plan
     if kind == _SRC_REG:
         tags = warp.reg_isf[sel, payload]
         if not tags.any():
-            return Val(warp.reg_i[sel, payload], None, None)
+            col = warp.reg_i[sel, payload]
+            return Val(col.copy() if copy else col, None, None)
         if tags.all():
-            return Val(None, warp.reg_f[sel, payload], True)
+            col = warp.reg_f[sel, payload]
+            return Val(None, col.copy() if copy else col, True)
+        if copy:
+            return Val(warp.reg_i[sel, payload].copy(),
+                       warp.reg_f[sel, payload].copy(), tags.copy())
         return Val(warp.reg_i[sel, payload], warp.reg_f[sel, payload], tags)
     if kind == _SRC_IMM_I:
         return Val(payload, None, None)
@@ -529,85 +537,110 @@ def _write_back(warp, sel, dest: int, val: Val) -> None:
         warp.reg_isf[sel, dest] = val.isf
 
 
-def _fill_event(event: IssueEvent, hw_lanes, cols, results) -> None:
-    """Populate per-lane inputs/results exactly like the scalar loop."""
-    if cols:
-        tuples = list(zip(*cols))
-    else:
-        tuples = [()] * len(hw_lanes)
-    event.lane_inputs.update(zip(hw_lanes, tuples))
-    event.lane_results.update(zip(hw_lanes, results))
+def _compute(entry: DecodedInst, cols: List[Val], n: int) -> Val:
+    """Result column of *entry* over its captured operand columns.
+
+    The issue and every functional-verify re-execution run through this
+    one function, so a redundant execution is bit-identical to the
+    original unless a fault model perturbs one of them.
+    """
+    kind = entry.kind
+    if kind == _KIND_ALU:
+        return _normalize(entry.fn(cols, n), n)
+    if kind == _KIND_SETP:
+        return _vi(entry.fn(cols, n))
+    if kind == _KIND_SELP:
+        return _normalize(_h_selp(cols[:2], n, cols[2].i), n)
+    if kind == _KIND_BRA:
+        return cols[0]  # the taken flag is the guard condition
+    # memory: the effective address (what DMR verifies)
+    return _vi(_to_lanes(_ints(cols[0]), n) + entry.offset)
 
 
-@np.errstate(all="ignore")
+class LaneCapture:
+    """The vector engine's record of one issue, kept on its event.
+
+    ``cols`` are the operand columns the scalar path records as per-lane
+    input tuples (SELP's predicate and BRA's condition included), all
+    detached from the register planes; ``result`` is the original result
+    column and ``hw_lanes`` the hardware lane of each column position.
+    """
+
+    __slots__ = ("entry", "cols", "result", "hw_lanes")
+
+    def __init__(self, entry: DecodedInst, cols: List[Val],
+                 hw_lanes: List[int]) -> None:
+        self.entry = entry
+        self.cols = cols
+        self.hw_lanes = hw_lanes
+        self.result = _compute(entry, cols, len(hw_lanes))
+
+    def reexecute(self) -> Val:
+        """Recompute every captured lane in one kernel call."""
+        return _compute(self.entry, self.cols, len(self.hw_lanes))
+
+    def lane_dicts(self) -> Tuple[Dict[int, Tuple], Dict[int, object]]:
+        """Per-lane inputs and results exactly as the scalar loop
+        records them (same keys, order and Python types)."""
+        n = len(self.hw_lanes)
+        cols = [py_lanes(v, n) for v in self.cols]
+        tuples = list(zip(*cols)) if cols else [()] * n
+        return (dict(zip(self.hw_lanes, tuples)),
+                dict(zip(self.hw_lanes, py_lanes(self.result, n))))
+
+
 def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
                    exec_mask: int, control) -> None:
     """Run one issue on the vector engine (fault-free path only).
 
-    Mutates the warp/memory state, fills *event*, and sets *control*
-    for branches.  Raises :class:`VectorFallback` — before touching any
-    state — when the issue needs the scalar engine.
+    Mutates the warp/memory state, attaches a :class:`LaneCapture` to
+    *event*, and sets *control* for branches.  Raises
+    :class:`VectorFallback` — before touching any state — when the issue
+    needs the scalar engine.  NumPy floating-point warnings must be
+    silenced by the caller (see :meth:`Executor.fp_quiet`).
     """
     sel, slots, hw_lanes = warp.issue_view(exec_mask)
     n = len(slots)
     kind = entry.kind
-
     if kind == _KIND_BRA:
-        condition = warp.preds[sel, entry.pred] != entry.pred_neg
-        results = condition.tolist()
-        taken = 0
-        for slot, taken_flag in zip(slots, results):
-            if taken_flag:
-                taken |= 1 << slot
-        _fill_event(event, hw_lanes, [results], results)
-        control.kind = "branch"
-        control.target = int(entry.inst.target)
-        control.taken_mask = taken
-        return
+        cols = [_vi(warp.preds[sel, entry.pred] != entry.pred_neg)]
+    else:
+        copy = isinstance(sel, slice)
+        cols = [_gather(warp, sel, plan, copy) for plan in entry.src_plans]
+        if kind == _KIND_SELP:
+            pred = warp.preds[sel, entry.psrc]
+            cols.append(_vi(pred.copy() if copy else pred))
+    capture = LaneCapture(entry, cols, hw_lanes)
+    event.capture = capture
+    result = capture.result
 
-    vals = [_gather(warp, sel, plan) for plan in entry.src_plans]
-
-    if kind == _KIND_ALU:
-        result = _normalize(entry.fn(vals, n), n)
-        # fill before write-back: _gather returns register-file *views*,
-        # so writing the dest first would corrupt recorded inputs when a
-        # source aliases the destination (functional verify re-executes
-        # from these inputs)
-        _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
-                    _py(result, n))
+    if kind == _KIND_ALU or kind == _KIND_SELP:
         if entry.dest is not None:
             _write_back(warp, sel, entry.dest, result)
         return
 
     if kind == _KIND_SETP:
-        outcome = entry.fn(vals, n)
-        warp.preds[sel, entry.pdst] = outcome
-        _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
-                    outcome.tolist())
+        warp.preds[sel, entry.pdst] = result.i
         return
 
-    if kind == _KIND_SELP:
-        pred = _to_lanes(warp.preds[sel, entry.psrc], n)
-        result = _normalize(_h_selp(vals, n, pred), n)
-        cols = [_py(v, n) for v in vals] + [pred.tolist()]
-        _fill_event(event, hw_lanes, cols, _py(result, n))
-        if entry.dest is not None:
-            _write_back(warp, sel, entry.dest, result)
+    if kind == _KIND_BRA:
+        taken = 0
+        for slot, taken_flag in zip(slots, result.i.tolist()):
+            if taken_flag:
+                taken |= 1 << slot
+        control.kind = "branch"
+        control.target = int(entry.inst.target)
+        control.taken_mask = taken
         return
 
     # memory: vectorized effective addresses, per-lane word access
-    addresses = (_to_lanes(_ints(vals[0]), n) + entry.offset).tolist()
-    cols = [_py(v, n) for v in vals]
-    _fill_event(event, hw_lanes, cols, addresses)
+    addresses = result.i.tolist()
+    memory = (executor.global_memory if entry.is_global
+              else warp.block.shared)
     if kind == _KIND_LOAD:
-        memory = (executor.global_memory if entry.is_global
-                  else warp.block.shared)
         dest = entry.dest
         for slot, addr in zip(slots, addresses):
             warp.write_reg(slot, dest, memory.load(addr))
     else:
-        memory = (executor.global_memory if entry.is_global
-                  else warp.block.shared)
-        stored = cols[1]
-        for addr, value in zip(addresses, stored):
+        for addr, value in zip(addresses, py_lanes(cols[1], n)):
             memory.store(addr, value)

@@ -24,11 +24,12 @@ before mutating state, and the simulation aborts either way.
 
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.runner import experiment_config
 from repro.common.config import DMRConfig, MappingPolicy
@@ -210,25 +211,54 @@ def _run_both(inst, reg_values, pred_values, block_dim, mapping):
     )
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_opcode_bit_identity(name, data):
-    inst = SPECS[name]
-    block_dim = data.draw(st.sampled_from([WARP_SIZE, 17, 1]), label="dim")
-    mapping = data.draw(st.sampled_from([IDENTITY, CROSS]), label="map")
-    mode = data.draw(st.sampled_from(["int", "float", "mixed"]),
-                     label="mode")
-    reg_values = [_lane_values(data.draw, WARP_SIZE, mode)
-                  for _ in range(3)]
-    pred_values = [data.draw(st.lists(st.booleans(), min_size=WARP_SIZE,
-                                      max_size=WARP_SIZE))
+@st.composite
+def _opcode_cases(draw):
+    """``(block_dim, mapping, reg_values, pred_values, guard)``; *guard*
+    is ``None`` (unguarded) or the ``pred_neg`` of a guard on P0."""
+    block_dim = draw(st.sampled_from([WARP_SIZE, 17, 1]))
+    mapping = draw(st.sampled_from([IDENTITY, CROSS]))
+    mode = draw(st.sampled_from(["int", "float", "mixed"]))
+    reg_values = [_lane_values(draw, WARP_SIZE, mode) for _ in range(3)]
+    pred_values = [draw(st.lists(st.booleans(), min_size=WARP_SIZE,
+                                 max_size=WARP_SIZE))
                    for _ in range(NUM_PREDS)]
-    if data.draw(st.booleans(), label="guarded"):
+    guard = draw(st.one_of(st.none(), st.booleans()))
+    return block_dim, mapping, reg_values, pred_values, guard
+
+
+#: the reported ``ffma`` divergence: full 32-lane warp, cross mapping,
+#: float registers mixing these values.  Every ordered triple of them
+#: lands on some lane of one of the examples below.
+FFMA_CORNERS = [float("-inf"), -0.0, 5e-324, 2.0 ** 53, -(2.0 ** 53)]
+
+
+def _corner_examples():
+    triples = list(itertools.product(FFMA_CORNERS, repeat=3))
+    for start in range(0, len(triples), WARP_SIZE):
+        chunk = triples[start:start + WARP_SIZE]
+        chunk += triples[:WARP_SIZE - len(chunk)]
+        reg_values = [list(column) for column in zip(*chunk)]
+        yield (WARP_SIZE, CROSS, reg_values,
+               [[True] * WARP_SIZE] * NUM_PREDS, None)
+
+
+def _with_corner_examples(test):
+    for case in _corner_examples():
+        test = example(case=case)(test)
+    return test
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@given(case=_opcode_cases())
+@_with_corner_examples
+@settings(max_examples=25, deadline=None)
+def test_opcode_bit_identity(name, case):
+    inst = SPECS[name]
+    block_dim, mapping, reg_values, pred_values, guard = case
+    if guard is not None:
         inst = Instruction(**{**{f: getattr(inst, f) for f in
                                  inst.__dataclass_fields__},
-                              "pred": 0,
-                              "pred_neg": data.draw(st.booleans())})
+                              "pred": 0, "pred_neg": guard})
     _run_both(inst, reg_values, pred_values, block_dim, mapping)
 
 
