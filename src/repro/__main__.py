@@ -300,12 +300,16 @@ def cmd_fuzz(args) -> int:
 
 def cmd_inject(args) -> int:
     from repro.analysis.runner import experiment_config
+    from repro.common.errors import SimulationError
     from repro.core.diagnosis import FaultLocalizer
     from repro.core.recovery import RecoveryPolicy
     from repro.faults import FaultInjector, StuckAtFault, TransientFault
+    from repro.faults.campaign import CampaignEngine, CampaignSpec
     from repro.isa.opcodes import UnitType
     from repro.workloads import get_workload
 
+    config = experiment_config(num_sms=args.sms)
+    dmr = DMRConfig.paper_default()
     workload = get_workload(args.workload)
     run = workload.prepare(scale=args.scale, seed=args.seed)
     if args.transient_cycle is not None:
@@ -315,16 +319,23 @@ def cmd_inject(args) -> int:
     else:
         fault = StuckAtFault(sm_id=0, hw_lane=args.lane,
                              unit=UnitType.SP, bit=args.bit, stuck_to=1)
-    gpu = GPU(experiment_config(num_sms=args.sms),
-              dmr=DMRConfig.paper_default(),
-              fault_hook=FaultInjector([fault]), max_cycles=500_000)
-    result = gpu.launch(run.program, run.launch, memory=run.memory)
+    # the same watchdog campaigns classify HUNG runs with
+    budget = CampaignEngine(CampaignSpec(
+        workload=args.workload, config=config, dmr=dmr, scale=args.scale,
+        seed=args.seed)).cycle_budget()
+    gpu = GPU(config, dmr=dmr, fault_hook=FaultInjector([fault]),
+              max_cycles=budget)
+    print(f"fault             : {fault}")
+    try:
+        result = gpu.launch(run.program, run.launch, memory=run.memory)
+    except SimulationError as error:
+        print(f"outcome: HUNG ({error})")
+        return 0
     try:
         run.check(run.memory)
         corrupt = False
     except AssertionError:
         corrupt = True
-    print(f"fault             : {fault}")
     print(f"output corrupt    : {corrupt}")
     print(f"detections        : {len(result.detections)}")
     localizer = FaultLocalizer()

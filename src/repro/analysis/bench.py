@@ -221,7 +221,7 @@ def bench_campaign(workload: str = "scan", samples: int = 200,
     import os
     import tempfile
 
-    from repro.analysis.runner import experiment_config
+    from repro.analysis.runner import experiment_config, usable_cpus
     from repro.common.config import DMRConfig
     from repro.faults.campaign import CampaignEngine, CampaignSpec
     from repro.faults.sampler import FaultSampler
@@ -233,17 +233,21 @@ def bench_campaign(workload: str = "scan", samples: int = 200,
     horizon = CampaignEngine(spec).golden_result().cycles
     faults = FaultSampler(config, windows=windows).sample(
         samples, horizon, seed=seed)
+    cpus = usable_cpus()
 
     payload: Dict[str, object] = {
         "benchmark": "fault-campaign",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "cpus": os.cpu_count() or 1,
+        "cpus": cpus,
         "workload": workload,
         "samples": len(faults),
         "scale": scale,
         "seed": seed,
         "workers": parallel,
+        # a speedup measured with more workers than CPUs says nothing
+        # about the fan-out, only about time-slicing
+        "parallel_valid": parallel <= cpus,
     }
     modes: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -286,8 +290,10 @@ def format_campaign_bench(payload: dict) -> str:
         ["mode", "ms", "faults/s", "simulations"], rows,
         title=(f"Campaign throughput: {payload['workload']} x "
                f"{payload['samples']} faults, {payload['workers']} workers "
-               f"({payload['cpus']} cpus), "
-               f"parallel speedup {payload['parallel_speedup']:.2f}x"),
+               f"({payload['cpus']} usable cpus), "
+               f"parallel speedup {payload['parallel_speedup']:.2f}x"
+               + ("" if payload["parallel_valid"]
+                  else " (INVALID: more workers than cpus)")),
     )
 
 

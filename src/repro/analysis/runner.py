@@ -52,6 +52,15 @@ def experiment_config(num_sms: int = 2, **overrides) -> GPUConfig:
     return replace(GPUConfig.paper_baseline(), num_sms=num_sms, **overrides)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's
+    core count, which overstates it inside containers)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def default_jobs() -> int:
     """Worker count when parallelism is requested without a number.
 
@@ -61,11 +70,7 @@ def default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
         return max(1, int(env))
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        cpus = os.cpu_count() or 1
-    return max(1, min(4, cpus))
+    return max(1, min(4, usable_cpus()))
 
 
 def pool_map(fn, args: Sequence, workers: int, *,

@@ -64,8 +64,10 @@ class DMRController:
             probe=probe,
         )
         if probe is not None:
-            # per-cycle ReplayQ depth sampling (see PipelineProbe.on_cycle)
-            probe.bind_queue_depth(lambda: len(self.checker.replayq))
+            # per-cycle ReplayQ depth sampling (see PipelineProbe.on_cycle);
+            # a bound method, not a closure, so a forked launch
+            # (repro.sim.gpu.Launch.fork) samples its own queue
+            probe.bind_queue_depth(self.checker.replayq.__len__)
 
     # -- SM hooks ----------------------------------------------------------
     def check_raw(self, warp_id: int, inst: Instruction) -> int:

@@ -46,7 +46,12 @@ from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError
 from repro.common.stats import binomial_interval
 from repro.faults.injector import FaultInjector
-from repro.faults.models import Fault, fault_from_payload, fault_to_payload
+from repro.faults.models import (
+    Fault,
+    TransientFault,
+    fault_from_payload,
+    fault_to_payload,
+)
 # the watchdog calibration lives in repro.resilience.deadline since PR 5;
 # these re-exports keep the historical public names importable from here
 from repro.resilience.deadline import (  # noqa: F401  (re-exported API)
@@ -57,7 +62,7 @@ from repro.resilience.deadline import (  # noqa: F401  (re-exported API)
     wall_budget,
 )
 from repro.service.sharding import fanout_workers, pool_chunks
-from repro.sim.gpu import GPU, KernelResult
+from repro.sim.gpu import GPU, KernelResult, Launch
 from repro.sim.memory import GlobalMemory
 
 
@@ -452,32 +457,60 @@ def _protection_obs(obs: Optional[dict], spec: CampaignSpec, hook,
     return aggregate_payloads([obs, payload]).to_payload()
 
 
-def _detection_hook(spec: CampaignSpec, fault: Fault):
+def _detection_hook(spec: CampaignSpec, faults: List[Fault]):
     """The fault hook and GPU config *spec*'s scheme runs under."""
     if spec.scheme == "secded":
         from repro.baselines.secded import SECDEDBackend, secded_config
-        return SECDEDBackend([fault]), secded_config(spec.config)
-    return FaultInjector([fault]), spec.config
+        return SECDEDBackend(faults), secded_config(spec.config)
+    return FaultInjector(faults), spec.config
+
+
+def _start(spec: CampaignSpec, budget: int, faults: List[Fault]):
+    """Prepare *spec*'s workload and start (not run) a launch of it
+    under the scheme's hook armed with *faults*; returns
+    ``(workload_run, launch)``."""
+    run = spec.prepare()
+    hook, config = _detection_hook(spec, faults)
+    gpu = GPU(config, dmr=spec.dmr, fault_hook=hook,
+              max_cycles=budget, engine=spec.engine,
+              obs=("metrics" if spec.obs else False))
+    return run, gpu.start(run.program, run.launch, memory=run.memory)
+
+
+def strike_cycle(fault: Fault) -> int:
+    """First cycle at which *fault* can perturb anything.
+
+    A transient is inert before its strike cycle (the ``may_perturb``
+    contract of every fault hook); a stuck-at is live from cycle 0.
+    """
+    return fault.cycle if isinstance(fault, TransientFault) else 0
 
 
 def run_single_fault(spec: CampaignSpec, fault: Fault,
                      golden: Sequence, budget: int,
-                     golden_cycles: int = 0) -> FaultRun:
+                     golden_cycles: int = 0,
+                     prefix: Optional[Tuple[object, Launch]] = None
+                     ) -> FaultRun:
     """Simulate and classify one faulty run of *spec* (pure function).
 
     ``golden_cycles`` is the unprotected golden run's cycle count —
     the baseline the scheme's cycle overhead is charged against when
     the spec records metrics (0 = unknown, no overhead charged).
+    ``prefix`` is a ``(workload_run, launch)`` pair from
+    :func:`run_fault_chunk`: a fault-free launch of *spec* paused no
+    later than the fault's strike cycle, which this run arms with the
+    fault and finishes (consuming it).  ``None`` simulates from cycle 0.
     """
     from repro.common.errors import SimulationError
 
-    run = spec.prepare()
-    hook, config = _detection_hook(spec, fault)
-    gpu = GPU(config, dmr=spec.dmr, fault_hook=hook,
-              max_cycles=budget, engine=spec.engine,
-              obs=("metrics" if spec.obs else False))
+    if prefix is None:
+        run, launch = _start(spec, budget, [fault])
+    else:
+        run, launch = prefix
+        launch.fault_hook.faults = [fault]
+    hook = launch.fault_hook
     try:
-        result = gpu.launch(run.program, run.launch, memory=run.memory)
+        result = launch.finish()
     except SimulationError:
         # a HUNG run died mid-simulation: whatever partial metrics the
         # session gathered would not be reproducible, so none ride along
@@ -487,7 +520,7 @@ def run_single_fault(spec: CampaignSpec, fault: Fault,
             detections=0,
             activations=hook.activations,
         )
-    output = run.output_of(run.memory)
+    output = run.output_of(result.memory)
     corrupt = not _outputs_equal(output, golden)
     if spec.scheme == "secded":
         detections = hook.detections
@@ -508,17 +541,59 @@ def run_single_fault(spec: CampaignSpec, fault: Fault,
     )
 
 
+def run_fault_chunk(spec: CampaignSpec, faults: Sequence[Fault],
+                    golden: Sequence, budget: int, golden_cycles: int = 0,
+                    on_result: Optional[Callable[[int, FaultRun], None]]
+                    = None) -> List[FaultRun]:
+    """Classify *faults* from one shared fault-free prefix.
+
+    Byte-identical to one :func:`run_single_fault` from cycle 0 per
+    fault, without re-simulating the prefix every faulty run shares
+    with the fault-free one.  One launch runs under the scheme's hook
+    armed with no faults (it never fires and moves no counter), and
+    faults are visited in ``(sm_id, strike cycle)`` order: for each,
+    the prefix advances to the strike, is forked, and the fork is armed
+    with the fault and classified — the last fault takes the prefix
+    itself.  The fork is exact because no hook can act before the
+    strike and SMs run one at a time (DESIGN.md §6).  Results come back
+    in input order; ``on_result(index, run)`` sees each one as soon as
+    it is classified.
+    """
+    from repro.common.errors import SimulationError
+
+    order = sorted(range(len(faults)),
+                   key=lambda i: (faults[i].sm_id, strike_cycle(faults[i])))
+    runs: List[Optional[FaultRun]] = [None] * len(faults)
+    run, launch = _start(spec, budget, [])
+    for position, index in enumerate(order):
+        fault = faults[index]
+        prefix = None
+        if launch is not None:
+            try:
+                launch.advance(fault.sm_id, strike_cycle(fault))
+            except SimulationError:
+                # the fault-free prefix itself overran the watchdog:
+                # classify the rest from cycle 0
+                launch = None
+            else:
+                last = position == len(order) - 1
+                prefix = (run, launch if last else launch.fork())
+        runs[index] = run_single_fault(spec, fault, golden, budget,
+                                       golden_cycles, prefix)
+        if on_result is not None:
+            on_result(index, runs[index])
+    return runs
+
+
 def _campaign_worker(args: Tuple[CampaignSpec, List[Fault], Sequence,
                                  int, int]) -> List[dict]:
     """Worker entry point: classify a chunk of faults, return payloads.
 
     Module-level so it pickles under any multiprocessing start method;
-    chunks amortize process/IPC overhead over many sub-second runs.
+    chunks amortize process/IPC overhead — and the fault-free prefix
+    (:func:`run_fault_chunk`) — over many sub-second runs.
     """
-    spec, faults, golden, budget, golden_cycles = args
-    return [run_single_fault(spec, fault, golden, budget,
-                             golden_cycles).to_payload()
-            for fault in faults]
+    return [run.to_payload() for run in run_fault_chunk(*args)]
 
 
 class CampaignEngine:
@@ -704,12 +779,12 @@ class CampaignEngine:
             self.jobs if parallel is None else max(1, parallel),
             len(missing),
         )
-        if missing:
+        order = list(missing.items())
+        if order:
             golden = self.golden_output()
             budget = self.cycle_budget()
             golden_cycles = self.golden_result().cycles
         if workers > 1:
-            order = list(missing.items())
             chunks = pool_chunks(order, workers)
             args = [(self.spec, [fault for _, fault in chunk], golden,
                      budget, golden_cycles) for chunk in chunks]
@@ -718,10 +793,13 @@ class CampaignEngine:
                     self.supervisor.map(_campaign_worker, args, workers)):
                 for (key, _), payload in zip(chunk, payloads):
                     self._store(key, FaultRun.from_payload(payload))
-        else:
-            for key, fault in missing.items():
-                self._store(key, run_single_fault(self.spec, fault, golden,
-                                                  budget, golden_cycles))
+        elif order:
+            # each classification reaches the cache as soon as it is
+            # made, so an interrupted serial campaign keeps its progress
+            run_fault_chunk(self.spec, [fault for _, fault in order],
+                            golden, budget, golden_cycles,
+                            lambda index, run: self._store(order[index][0],
+                                                           run))
 
         return CampaignResult(runs=[self._runs[key] for key in keys])
 

@@ -10,6 +10,7 @@ only consumes per-SM issue streams and total kernel cycles.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -147,6 +148,24 @@ class GPU:
         per-SM DMR controller (the DMTR baseline uses this); when given
         it is attached regardless of the DMRConfig.
         """
+        return self.start(program, launch, memory, issue_listener,
+                          block_ids, controller_factory).finish()
+
+    def start(
+        self,
+        program,
+        launch: LaunchConfig,
+        memory: Optional[GlobalMemory] = None,
+        issue_listener: Optional[Callable[[IssueEvent], None]] = None,
+        block_ids: Optional[List[int]] = None,
+        controller_factory: Optional[Callable] = None,
+    ) -> "Launch":
+        """Build every SM of a launch without running any of them.
+
+        Same arguments as :meth:`launch`, which is ``start(...).finish()``.
+        The returned :class:`Launch` can also be advanced partway and
+        forked, which is how fault campaigns share a fault-free prefix.
+        """
         # Late imports: the sim substrate must stay importable without
         # the core (Warped-DMR) layer, which itself builds on sim.
         from repro.core.dmr_controller import DMRController
@@ -168,9 +187,6 @@ class GPU:
         for position, block_id in enumerate(dispatch):
             blocks_of_sm[position % cfg.num_sms].append(block_id)
 
-        merged = MetricsRegistry()
-        per_sm_cycles: List[int] = []
-        detections: List = []
         functional_verify = self.fault_hook is not None
         session = self.obs
 
@@ -220,21 +236,99 @@ class GPU:
         if fusable:
             WarpBatcher(fusable).attach()
 
-        for sm in sms:
-            sm.run()
+        return Launch(program, sms, memory, self.fault_hook, session,
+                      configs=(cfg, launch, self.dmr))
+
+
+class Launch:
+    """A kernel launch in flight: its SMs, run sequentially, resumably.
+
+    SMs run to completion one after another in ``sm_id`` order, so
+    global memory only ever sees one SM at a time.
+    :meth:`advance` runs the launch up to a point and :meth:`fork`
+    snapshots it there; :meth:`finish` runs whatever is left and merges
+    the result.  ``GPU.launch`` is ``start(...).finish()``.
+    """
+
+    def __init__(self, program, sms: List[SM], memory: GlobalMemory,
+                 fault_hook: Optional[FaultHook],
+                 session: Optional[ObsSession], configs: tuple) -> None:
+        self.program = program
+        self.sms = sms
+        self.memory = memory
+        #: the hook every SM's executor shares (a fork gets its own copy)
+        self.fault_hook = fault_hook
+        self.session = session
+        #: (GPUConfig, LaunchConfig, DMRConfig): frozen, shared by forks
+        self.configs = configs
+        self._finished = 0  # sms[:_finished] have run to completion
+
+    def advance(self, sm_id: int, cycle: int) -> None:
+        """Complete every SM before *sm_id*, then run *sm_id* until it
+        reaches *cycle* (or runs out of work).
+
+        Never moves backwards and never re-runs a finished SM.  The
+        paused SM has not flushed its DMR state; only :meth:`finish`
+        does that.
+        """
+        sms = self.sms
+        while self._finished < len(sms) and sms[self._finished].sm_id < sm_id:
+            sms[self._finished].run()
+            self._finished += 1
+        if self._finished < len(sms) and sms[self._finished].sm_id == sm_id:
+            sms[self._finished].run(until=cycle)
+
+    def fork(self) -> "Launch":
+        """An independent copy of this launch, paused where it is.
+
+        A ``copy.deepcopy`` whose memo is seeded with the program-level
+        immutables (program, instructions, decoded entries, hazard
+        plans, configs) and the warps' memoized lane geometry, so the
+        copy shares them instead of cloning.
+        """
+        memo = {}
+        for obj in self._immutables():
+            memo[id(obj)] = obj
+        return copy.deepcopy(self, memo)
+
+    def _immutables(self) -> List[object]:
+        program = self.program
+        shared: List[object] = [program, program.instructions]
+        shared.extend(program.instructions)
+        shared.extend(self.configs)
+        # the program memo holds derived artifacts (hazard plans, decode
+        # entries, fusion regions), built once and never mutated
+        for artifact in program.__dict__.get("_memo", {}).values():
+            shared.append(artifact)
+            if isinstance(artifact, list):
+                shared.extend(artifact)
+        for sm in self.sms:
+            for warp in sm._resident_warps:
+                shared.extend(warp.memo_artifacts())
+        return shared
+
+    def finish(self) -> KernelResult:
+        """Run every SM to completion and merge the per-SM results."""
+        merged = MetricsRegistry()
+        per_sm_cycles: List[int] = []
+        detections: List = []
+        for index, sm in enumerate(self.sms):
+            if index >= self._finished:
+                sm.run()
             per_sm_cycles.append(sm.cycle)
             merged.merge(sm.stats)
             if sm.dmr is not None:
                 detections.extend(sm.dmr.detections)
-
+        self._finished = len(self.sms)
+        session = self.session
         return KernelResult(
-            program_name=program.name,
+            program_name=self.program.name,
             cycles=max(per_sm_cycles) if per_sm_cycles else 0,
             per_sm_cycles=per_sm_cycles,
             stats=merged,
-            memory=memory,
+            memory=self.memory,
             detections=detections,
-            clock_period_ns=cfg.clock_period_ns,
+            clock_period_ns=self.configs[0].clock_period_ns,
             obs=(session.snapshot().to_payload()
                  if session is not None else None),
         )

@@ -30,6 +30,14 @@ class GlobalMemory:
         self.size_words = size_words
         self._words: Dict[int, Number] = {}
 
+    def __deepcopy__(self, memo) -> "GlobalMemory":
+        # words are immutable scalars: copying the dict is a deep copy
+        clone = object.__new__(type(self))
+        clone.size_words = self.size_words
+        clone._words = dict(self._words)
+        memo[id(self)] = clone
+        return clone
+
     def load(self, addr: int) -> Number:
         self._check(addr)
         return self._words.get(addr, 0)
@@ -97,6 +105,14 @@ class SharedMemory:
             raise SimulationError("shared memory size must be positive")
         self.size_words = size_words
         self._words: List[Number] = [0] * size_words
+
+    def __deepcopy__(self, memo) -> "SharedMemory":
+        # words are immutable scalars: copying the list is a deep copy
+        clone = object.__new__(type(self))
+        clone.size_words = self.size_words
+        clone._words = list(self._words)
+        memo[id(self)] = clone
+        return clone
 
     def load(self, addr: int) -> Number:
         self._check(addr)

@@ -238,13 +238,19 @@ class SM:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self) -> MetricsRegistry:
-        """Execute every assigned block to completion; returns the stats."""
+    def run(self, until: Optional[int] = None) -> MetricsRegistry:
+        """Execute every assigned block to completion; returns the stats.
+
+        With *until*, tick only while ``cycle < until`` and return with
+        the SM resumable: the DMR flush and ``cycles_total`` belong to
+        the run that completes the kernel, so a paused SM can be forked
+        (:meth:`repro.sim.gpu.Launch.fork`) and resumed exactly.
+        """
         if self._batcher is None and self.fusion_allowed():
             from repro.sim.megakernel import WarpBatcher
             WarpBatcher([self]).attach()
         with self.executor.fp_quiet():
-            while self._has_work():
+            while self._has_work() and (until is None or self.cycle < until):
                 self._tick()
                 if self.cycle > self.max_cycles:
                     raise SimulationError(
@@ -252,6 +258,8 @@ class SM:
                         "cycles; likely a livelocked kernel (barrier "
                         "divergence or non-terminating loop)"
                     )
+            if until is not None:
+                return self.stats
             if self.dmr is not None:
                 flush = self.dmr.on_kernel_end(self.cycle)
                 if flush:

@@ -234,6 +234,19 @@ class Warp:
             self._issue_views[logical_mask] = view
         return view
 
+    def memo_artifacts(self) -> List[object]:
+        """Memoized lane geometry this warp hands out by reference.
+
+        Pure functions of the lane mapping that no caller mutates (the
+        memo already relies on that), so a forked launch shares them
+        instead of copying (:meth:`repro.sim.gpu.Launch.fork`).
+        """
+        shared: List[object] = list(self._issue_views.values())
+        if self._hw_tables is not None:
+            shared.append(self._hw_tables)
+            shared.extend(self._hw_tables)
+        return shared
+
     @property
     def done(self) -> bool:
         return self.stack.done

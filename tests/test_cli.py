@@ -164,3 +164,14 @@ class TestInject:
             "--transient-cycle", "40",
         ]) == 0
         assert "TransientFault" in capsys.readouterr().out
+
+    def test_hanging_fault_reports_hung(self, capsys):
+        """A fault campaigns classify HUNG is reported, not a traceback."""
+        assert main([
+            "inject", "scan", "--lane", "0", "--bit", "0",
+            "--scale", "0.5", "--sms", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "StuckAtFault" in out
+        assert "outcome: HUNG (" in out
+        assert "recovery plan" not in out
