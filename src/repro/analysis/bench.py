@@ -23,19 +23,13 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.config import LaunchConfig
+from repro.common.config import ENGINES, LaunchConfig
 from repro.isa.opcodes import CmpOp
 from repro.isa.operands import SReg, SpecialReg
 from repro.kernel.builder import KernelBuilder
 from repro.kernel.program import Program
 from repro.sim.gpu import GPU
 from repro.workloads import all_workloads
-
-#: engines compared by every benchmark
-#: engines every benchmark runs side by side, in one process, over the
-#: same programs: the scalar oracle, the per-issue vector engine, and
-#: the trace-fused megakernel engine
-ENGINES: Tuple[str, str, str] = ("scalar", "vector", "mega")
 
 #: static unrolled ALU ops per loop iteration in the synthetic kernels
 _UNROLL = 8
@@ -134,28 +128,17 @@ def _time_launch(program: Program, launch: LaunchConfig,
     return elapsed, result.stats.value("thread_instructions")
 
 
-def _speedups(entry: Dict[str, dict], unit: str = "seconds") -> None:
-    """Attach the three engine ratios to one benchmark *entry* in place.
-
-    ``speedup`` is the headline scalar-over-mega ratio; ``speedup_vector``
-    is scalar-over-vector; ``speedup_mega_vs_vector`` isolates what
-    region fusion adds on top of per-issue vectorization.
-    """
-    scalar = entry["scalar"][unit]
-    vector = entry["vector"][unit]
-    mega = entry["mega"][unit]
-    entry["speedup"] = scalar / mega
-    entry["speedup_vector"] = scalar / vector
-    entry["speedup_mega_vs_vector"] = vector / mega
+def _speedup(entry: Dict[str, dict]) -> None:
+    """Attach ``speedup`` (scalar time over vector time) to *entry*."""
+    entry["speedup"] = entry["scalar"]["seconds"] / entry["vector"]["seconds"]
 
 
 def bench_throughput(iters: int = 200, blocks: int = 2,
                      block_dim: int = 128) -> Dict[str, dict]:
-    """Instruction-throughput microbenchmarks, all three engines.
+    """Instruction-throughput microbenchmarks, both engines.
 
     Returns per-kernel ``{engine: {seconds, thread_instructions,
-    minst_per_s}}`` plus the ratio keys of :func:`_speedups` (>1 means
-    the faster engine wins).
+    minst_per_s}}`` plus ``speedup`` (scalar time over vector time).
     """
     launch = LaunchConfig(grid_dim=blocks, block_dim=block_dim)
     report: Dict[str, dict] = {}
@@ -169,13 +152,13 @@ def bench_throughput(iters: int = 200, blocks: int = 2,
                 "thread_instructions": thread_insts,
                 "minst_per_s": thread_insts / seconds / 1e6,
             }
-        _speedups(entry)
+        _speedup(entry)
         report[name] = entry
     return report
 
 
 def bench_workloads(scale: float = 0.5, seed: int = 0) -> Dict[str, dict]:
-    """End-to-end workload wall-clock, all three engines."""
+    """End-to-end workload wall-clock, both engines."""
     report: Dict[str, dict] = {}
     for name, workload in all_workloads().items():
         entry: Dict[str, object] = {}
@@ -185,13 +168,13 @@ def bench_workloads(scale: float = 0.5, seed: int = 0) -> Dict[str, dict]:
             start = time.perf_counter()
             gpu.launch(run.program, run.launch, memory=run.memory)
             entry[engine] = {"seconds": time.perf_counter() - start}
-        _speedups(entry)
+        _speedup(entry)
         report[name] = entry
     return report
 
 
 def bench_fig9b(scale: float = 0.25, seed: int = 0) -> Dict[str, dict]:
-    """Cold (cache-disabled) Figure 9(b) regeneration, all engines."""
+    """Cold (cache-disabled) Figure 9(b) regeneration, both engines."""
     from repro.analysis.overhead_sweep import run_figure9b
     from repro.analysis.runner import SuiteRunner, experiment_config
 
@@ -202,7 +185,7 @@ def bench_fig9b(scale: float = 0.25, seed: int = 0) -> Dict[str, dict]:
         start = time.perf_counter()
         run_figure9b(runner)
         entry[engine] = {"seconds": time.perf_counter() - start}
-    _speedups(entry)
+    _speedup(entry)
     return {"fig9b_cold": entry}
 
 
@@ -330,14 +313,12 @@ def format_bench(payload: dict) -> str:
         [name,
          f"{entry['scalar']['minst_per_s']:.2f}",
          f"{entry['vector']['minst_per_s']:.2f}",
-         f"{entry['mega']['minst_per_s']:.2f}",
-         f"{entry['speedup']:.2f}x",
-         f"{entry['speedup_mega_vs_vector']:.2f}x"]
+         f"{entry['speedup']:.2f}x"]
         for name, entry in payload["throughput"].items()
     ]
     sections.append(format_table(
-        ["kernel", "scalar Minst/s", "vector Minst/s", "mega Minst/s",
-         "mega/scalar", "mega/vector"], rows,
+        ["kernel", "scalar Minst/s", "vector Minst/s", "vector/scalar"],
+        rows,
         title="Instruction throughput (full warps, no divergence)",
     ))
     for key, title in (("workloads", "Workload wall-clock"),
@@ -348,12 +329,11 @@ def format_bench(payload: dict) -> str:
             [name,
              f"{entry['scalar']['seconds'] * 1000:.1f}",
              f"{entry['vector']['seconds'] * 1000:.1f}",
-             f"{entry['mega']['seconds'] * 1000:.1f}",
              f"{entry['speedup']:.2f}x"]
             for name, entry in payload[key].items()
         ]
         sections.append(format_table(
-            ["name", "scalar ms", "vector ms", "mega ms", "mega/scalar"],
+            ["name", "scalar ms", "vector ms", "vector/scalar"],
             rows, title=title,
         ))
     return "\n\n".join(sections)

@@ -41,10 +41,12 @@ from repro.sim.gpu import KernelResult
 
 #: Bump when the cached payload layout or simulator semantics change in
 #: a way not captured by any configuration field.  2 = checksummed
-#: entry format (magic + SHA-256 header).
-CACHE_SCHEMA_VERSION = 2
+#: entry format (magic + SHA-256 header); 3 = engines reduced to
+#: ``scalar``/``vector``, so no key made under a retired engine name
+#: aliases a new one.
+CACHE_SCHEMA_VERSION = 3
 
-#: Entry-format magic; the 2 matches :data:`CACHE_SCHEMA_VERSION`.
+#: Entry-format magic of the checksummed format (schema 2 onwards).
 ENTRY_MAGIC = b"RPC2"
 
 #: Header layout: 4-byte magic + 32-byte SHA-256 over the payload bytes.

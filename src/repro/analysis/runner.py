@@ -24,7 +24,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.result_cache import ResultCache, result_key
-from repro.common.config import DMRConfig, GPUConfig
+from repro.common.config import DMRConfig, GPUConfig, resolve_engine
 from repro.obs import MetricSnapshot, aggregate_payloads
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import Supervisor, declare_harness_metrics
@@ -100,17 +100,15 @@ def _simulate_payload(args: Tuple[str, DMRConfig, GPUConfig, float, int,
     Module-level so it pickles under any multiprocessing start method;
     returns plain data (not a KernelResult) so the transfer does not
     depend on simulator classes unpickling identically in the parent.
-    The obs flag (8th element) turns on the metrics registry; the
-    snapshot travels back inside the payload's ``obs`` key, which is how
+    *args* is ``(name, dmr, config, scale, seed, check_outputs, engine,
+    obs)``.  The obs flag turns on the metrics registry; the snapshot
+    travels back inside the payload's ``obs`` key, which is how
     parallel workers ship metrics to the parent for aggregation.
     """
-    name, dmr, config, scale, seed, check_outputs, *rest = args
-    engine = rest[0] if rest else None  # 6-tuples predate the engine knob
-    obs = rest[1] if len(rest) > 1 else False  # 7-tuples predate obs
-    workload = get_workload(name)
-    run = workload.prepare(scale, seed)
+    name, dmr, config, scale, seed, check_outputs, engine, obs = args
     gpu = GPU(config, dmr=dmr, engine=engine,
               obs=("metrics" if obs else False))
+    run = get_workload(name).prepare(scale, seed)
     result = gpu.launch(run.program, run.launch, memory=run.memory)
     if check_outputs:
         run.check(run.memory)
@@ -142,8 +140,8 @@ class SuiteRunner:
     ``jobs`` sets the default fan-out for :meth:`run_many` /
     :meth:`run_suite` (1 = serial in-process).
 
-    ``engine`` pins the execution engine ("scalar"/"vector"/"mega"/
-    "auto"; default the GPU's own resolution).  The cache key includes
+    ``engine`` pins the execution engine ("scalar"/"vector"; default
+    :func:`~repro.common.config.resolve_engine`).  The cache key includes
     the *resolved* engine: the engines are bit-identical by contract,
     but serving one engine's cached result to another would let a
     cache hit mask an engine divergence (the differential suite would
@@ -203,10 +201,9 @@ class SuiteRunner:
         engine: omitting them would alias two runners' entries once
         the cache persists across processes.
         """
-        engine = (self.engine or os.environ.get("REPRO_EXEC")
-                  or config.engine)
         return result_key(name, dmr, config, self.scale, self.seed,
-                          self.check_outputs, self.obs, engine)
+                          self.check_outputs, self.obs,
+                          resolve_engine(self.engine, config))
 
     def _spec(self, name: str, dmr: Optional[DMRConfig],
               config: Optional[GPUConfig]) -> RunSpec:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
@@ -81,13 +82,25 @@ class SchedulerPolicy(enum.Enum):
     GREEDY_THEN_OLDEST = "gto"
 
 
-#: execution engines a simulation can be pinned to.  ``scalar`` is the
+#: execution engines a simulation can be pinned to: ``scalar`` is the
 #: per-lane interpreter (the differential oracle), ``vector`` the
-#: per-issue lane-vectorized engine (:mod:`repro.sim.vexec`), ``mega``
-#: the trace-fused megakernel engine (:mod:`repro.sim.megakernel`,
-#: vexec plus region fusion and cross-SM batching).  ``auto`` resolves
-#: to the fastest engine that preserves bit-identity — currently mega.
-ENGINE_NAMES = ("auto", "scalar", "vector", "mega")
+#: per-issue lane-vectorized engine (:mod:`repro.sim.vexec`, default).
+ENGINES = ("scalar", "vector")
+
+
+def resolve_engine(explicit: Optional[str], config: GPUConfig) -> str:
+    """The engine a run uses: *explicit* > ``$REPRO_EXEC`` > *config*.
+
+    Raises :class:`ConfigError` for a name outside :data:`ENGINES`, so
+    a bad override fails before any workload is prepared.
+    """
+    engine = explicit or os.environ.get("REPRO_EXEC") or config.engine
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown execution engine {engine!r}; expected one of "
+            f"{ENGINES}"
+        )
+    return engine
 
 
 @dataclass(frozen=True)
@@ -142,21 +155,11 @@ class GPUConfig:
     # bound (one cycle per serialized bank access).
     model_bank_conflicts: bool = False
 
-    # Execution engine (see ENGINE_NAMES).  Part of the config so every
+    # Execution engine (see ENGINES).  Part of the config so every
     # persistent cache key derived from a config fingerprint separates
     # engines; an explicit GPU(engine=...) argument or $REPRO_EXEC still
-    # overrides this per launch.
-    engine: str = "auto"
-
-    # Event-driven cycle skipping: when every resident warp is stalled
-    # (latency, ReplayQ drain, barrier), the SM jumps its cycle counter
-    # to the next wakeup instead of ticking idle cycles one by one.
-    # Bit-identical by construction — skipped spans charge the same
-    # stall/idle counters and probe samples the burned cycles would have
-    # (asserted by the cycle-skip invariance tests) — so this is a pure
-    # speed knob; it is auto-disabled under Chrome tracing, which records
-    # per-cycle instants.
-    cycle_skip: bool = True
+    # overrides this per launch (see resolve_engine).
+    engine: str = "vector"
 
     # Cycles between successive warps' first issue.  Real SMs never have
     # their warps aligned (fetch/decode contention and memory-latency
@@ -202,14 +205,10 @@ class GPUConfig:
             raise ConfigError(
                 f"schedule_seed must be >= 0 or None, got {self.schedule_seed}"
             )
-        if self.engine not in ENGINE_NAMES:
+        if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown execution engine {self.engine!r}; expected one "
-                f"of {ENGINE_NAMES}"
-            )
-        if not isinstance(self.cycle_skip, bool):
-            raise ConfigError(
-                f"cycle_skip must be a bool, got {self.cycle_skip!r}"
+                f"of {ENGINES}"
             )
 
     @property

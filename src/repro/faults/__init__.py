@@ -32,7 +32,6 @@ from repro.faults.campaign import (
     FaultCampaign,
     FaultRun,
     Outcome,
-    cycle_budget,
     fault_run_key,
 )
 from repro.faults.sampler import FaultSampler, Stratum, allocate
@@ -51,7 +50,6 @@ __all__ = [
     "StuckAtFault",
     "TransientFault",
     "allocate",
-    "cycle_budget",
     "fault_from_payload",
     "fault_run_key",
     "fault_to_payload",

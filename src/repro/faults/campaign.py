@@ -52,9 +52,7 @@ from repro.faults.models import (
     fault_from_payload,
     fault_to_payload,
 )
-# the watchdog calibration lives in repro.resilience.deadline since PR 5;
-# these re-exports keep the historical public names importable from here
-from repro.resilience.deadline import (  # noqa: F401  (re-exported API)
+from repro.resilience.deadline import (
     DEFAULT_MAX_FAULTY_CYCLES,
     DEFAULT_WATCHDOG_FACTOR,
     DEFAULT_WATCHDOG_SLACK,
@@ -330,8 +328,8 @@ class CampaignSpec:
     Plain data (registry workload name + frozen configs), so a spec
     pickles into worker processes and fingerprints into cache keys.
     ``engine`` pins the faulty runs' execution engine ("scalar" /
-    "auto"; ``None`` = the GPU default).  Like the suite runner's cache,
-    the fault-run cache key deliberately excludes it: the engines are
+    "vector"; ``None`` = the GPU default).  Unlike the suite runner's
+    cache, the fault-run cache key deliberately excludes it: the engines are
     bit-identical by contract (enforced by the engine-differential
     tests), so their classifications are interchangeable.  The watchdog
     parameters *are* keyed — they decide what counts as ``HUNG`` — and

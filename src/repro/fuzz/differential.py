@@ -1,6 +1,6 @@
 """Differential oracle: scalar reference vs every simulator engine.
 
-Every fuzzed kernel is executed four ways before it may enter a
+Every fuzzed kernel is executed three ways before it may enter a
 corpus:
 
 1. the barrier-aware scalar reference interpreter
@@ -8,9 +8,7 @@ corpus:
    semantic ground truth, with no pipeline model at all;
 2. the full simulator with the scalar execution engine;
 3. the full simulator with the per-issue vectorized engine
-   (``repro.sim.vexec``, ``engine="vector"``);
-4. the full simulator with the trace-fused megakernel engine
-   (``repro.sim.megakernel``, ``engine="mega"``).
+   (``repro.sim.vexec``, ``engine="vector"``).
 
 All final global-memory images must be *bit-identical* (equal
 canonical digests, exact float bit patterns included).  Any mismatch is
@@ -26,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.common.config import DMRConfig, GPUConfig
+from repro.common.config import ENGINES, DMRConfig, GPUConfig
 from repro.fuzz.serialize import FuzzKernel, Number, memory_digest
 from repro.sim.gpu import GPU, KernelResult
 from repro.sim.memory import GlobalMemory
@@ -100,7 +98,7 @@ class Validation:
 
 def validate_kernel(kernel: FuzzKernel,
                     config: Optional[GPUConfig] = None) -> Validation:
-    """Check bit-identity of reference, scalar, vector and mega."""
+    """Check bit-identity of the reference and every engine."""
     outcome = Validation(kernel_digest=kernel.digest(),
                          reference_digest="")
     try:
@@ -108,7 +106,7 @@ def validate_kernel(kernel: FuzzKernel,
     except Exception as exc:  # noqa: BLE001 - report, don't crash the run
         outcome.errors.append(f"reference: {type(exc).__name__}: {exc}")
         return outcome
-    for engine in ("scalar", "vector", "mega"):
+    for engine in ENGINES:
         try:
             result = run_kernel(kernel, config=config, engine=engine)
         except Exception as exc:  # noqa: BLE001

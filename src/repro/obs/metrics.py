@@ -104,12 +104,11 @@ class Gauge:
         self.min: Optional[int] = None
         self.max: Optional[int] = None
 
-    def set(self, value: int, count: int = 1) -> None:
-        """Record *count* samples of the gauged level (bulk-identical:
-        the summary equals *count* single-sample calls)."""
+    def set(self, value: int) -> None:
+        """Record one sample of the gauged level."""
         self.value = value
-        self.count += count
-        self.total += value * count
+        self.count += 1
+        self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -331,12 +330,12 @@ class MetricsRegistry:
             hist = self._histograms[name] = Histogram(name)
         hist.add(key, amount)
 
-    def set_gauge(self, name: str, value: int, count: int = 1) -> None:
-        """Record *count* samples of gauge *name* at *value*."""
+    def set_gauge(self, name: str, value: int) -> None:
+        """Record one sample of gauge *name* at *value*."""
         gauge = self._gauges.get(name)
         if gauge is None:
             gauge = self._gauges[name] = Gauge(name)
-        gauge.set(value, count)
+        gauge.set(value)
 
     def sample(self, name: str, bounds: Sequence[int], value: int,
                amount: int = 1) -> None:
@@ -469,7 +468,7 @@ class NullRegistry(MetricsRegistry):
     def observe(self, name: str, key: Hashable, amount: int = 1) -> None:
         pass
 
-    def set_gauge(self, name: str, value: int, count: int = 1) -> None:
+    def set_gauge(self, name: str, value: int) -> None:
         pass
 
     def sample(self, name: str, bounds: Sequence[int], value: int,

@@ -55,23 +55,15 @@ class PipelineProbe:
         self._queue_depth = fn
 
     # -- per-cycle hooks (SM issue loop) -------------------------------
-    def on_cycle(self, cycle: int, resident_warps: int,
-                 count: int = 1) -> None:
-        """Start-of-tick sample: warp occupancy and ReplayQ depth.
-
-        *count* > 1 replays the sample for a span of ticks the SM
-        burned in bulk (stall runs, event-driven cycle skipping) over
-        which the sampled levels are provably constant; the resulting
-        summaries are identical to *count* individual calls.
-        """
+    def on_cycle(self, cycle: int, resident_warps: int) -> None:
+        """Start-of-tick sample: warp occupancy and ReplayQ depth."""
         registry = self.registry
-        registry.set_gauge("warp_occupancy", resident_warps, count)
-        registry.sample("warp_occupancy", OCCUPANCY_BOUNDS, resident_warps,
-                        count)
+        registry.set_gauge("warp_occupancy", resident_warps)
+        registry.sample("warp_occupancy", OCCUPANCY_BOUNDS, resident_warps)
         if self._queue_depth is not None:
             depth = self._queue_depth()
-            registry.set_gauge("replayq_depth", depth, count)
-            registry.sample("replayq_depth", DEPTH_BOUNDS, depth, count)
+            registry.set_gauge("replayq_depth", depth)
+            registry.sample("replayq_depth", DEPTH_BOUNDS, depth)
             if self.tracer is not None and depth != self._last_depth:
                 self.tracer.counter(self.sm_id, "ReplayQ depth", cycle,
                                     {"entries": depth})
@@ -99,18 +91,12 @@ class PipelineProbe:
                                 args={"cycles": cycles}, cat="stall")
 
     # -- scheduler hooks -----------------------------------------------
-    def on_schedule(self, scanned: int, found: bool,
-                    count: int = 1) -> None:
-        """A scheduler pick finished after inspecting *scanned* warps.
-
-        *count* > 1 replays identical no-pick outcomes for a skipped
-        idle span (every policy scans all warps on a miss and its
-        no-pick state is idempotent, so the calls are interchangeable).
-        """
+    def on_schedule(self, scanned: int, found: bool) -> None:
+        """A scheduler pick finished after inspecting *scanned* warps."""
         registry = self.registry
-        registry.sample("sched_scan_depth", SCAN_BOUNDS, scanned, count)
+        registry.sample("sched_scan_depth", SCAN_BOUNDS, scanned)
         if not found:
-            registry.inc("sched_no_ready", count)
+            registry.inc("sched_no_ready")
 
     # -- DMR hooks -----------------------------------------------------
     def on_intra_pairing(self, event, verified_lanes: int,

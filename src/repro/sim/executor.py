@@ -34,6 +34,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.common.bitops import ActiveMask, active_lane_list
+from repro.common.config import ENGINES
 from repro.common.errors import SimulationError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CmpOp, Opcode, UnitType
@@ -52,12 +53,6 @@ _SETP_CMP = {
     CmpOp.LT: operator.lt, CmpOp.LE: operator.le,
     CmpOp.GT: operator.gt, CmpOp.GE: operator.ge,
 }
-
-#: engines an :class:`Executor` can be pinned to: ``scalar`` (per-lane
-#: interpreter, the oracle), ``vector`` (per-issue lane-vectorized),
-#: ``mega`` (vector + trace-fused regions and cross-SM warp batching),
-#: ``auto`` (the fastest bit-identical engine — currently mega)
-ENGINES = ("auto", "scalar", "vector", "mega")
 
 
 def _wrap_i32(value: int) -> int:
@@ -204,7 +199,7 @@ class FaultHook:
     def may_perturb(self, sm_id: int, cycle: int) -> bool:
         """Whether any fault could perturb a computation on *sm_id* now.
 
-        The executor's ``auto`` engine consults this per issue: while a
+        The executor's ``vector`` engine consults this per issue: while a
         hook reports ``False`` the lane-vectorized fast path (which
         never calls :meth:`apply`) is safe, because skipping the hook
         provably cannot change the computation.  The conservative
@@ -236,7 +231,7 @@ class ExecResult:
 class Executor:
     """Stateful functional executor bound to one SM.
 
-    ``engine`` selects the execution strategy: ``"auto"`` (default)
+    ``engine`` selects the execution strategy: ``"vector"`` (default)
     runs the vectorized engine whenever it can reproduce scalar
     semantics bit-for-bit, ``"scalar"`` pins every issue to the
     per-lane interpreter.  With a fault hook armed, each issue first
@@ -251,7 +246,7 @@ class Executor:
 
     def __init__(self, sm_id: int, global_memory: GlobalMemory,
                  fault_hook: Optional[FaultHook] = None,
-                 engine: str = "auto") -> None:
+                 engine: str = "vector") -> None:
         if engine not in ENGINES:
             raise SimulationError(
                 f"unknown execution engine {engine!r}; expected one of "
@@ -263,10 +258,6 @@ class Executor:
         self.engine = engine
         self._faulty = fault_hook is not None
         self._vector_enabled = engine != "scalar"
-        self._fuse_requested = engine in ("auto", "mega")
-        #: region-fusion context (a WarpBatcher); attached by the SM/GPU
-        #: only when nothing observes issues at instruction granularity
-        self._mega: Optional[object] = None
         self._decoded: Optional[list] = None
         self._adhoc: Dict[Instruction, vexec.DecodedInst] = {}
         #: issue counts per engine (diagnostics; not part of the stats registry so
@@ -280,10 +271,9 @@ class Executor:
         self._decoded = (vexec.decoded(program)
                          if self._vector_enabled else None)
 
-    @property
-    def fusion_capable(self) -> bool:
-        """Whether this executor may ever run fused regions."""
-        return self._fuse_requested and not self._faulty
+    #: read only by perfbench's run record; goes with the next benchmark
+    #: change
+    fusion_capable = False
 
     # ------------------------------------------------------------------
     def _operand_value(self, warp: Warp, slot: int, operand) -> object:
@@ -373,15 +363,6 @@ class Executor:
 
     def _execute(self, warp: Warp, inst: Instruction, pc: int,
                  cycle: int) -> ExecResult:
-        stash = warp.mega_stash
-        if stash is not None:
-            return self._consume_stash(warp, stash, inst, pc, cycle)
-        mega = self._mega
-        if mega is not None and not warp.reg_overflow:
-            stash = mega.try_fuse(warp, pc, inst)
-            if stash is not None:
-                return self._consume_stash(warp, stash, inst, pc, cycle)
-
         simt_mask = warp.stack.current_mask
         # BRA's predicate is the branch *condition*, not an execution
         # guard: every SIMT-active lane evaluates the branch.
@@ -484,53 +465,6 @@ class Executor:
             control.target = int(inst.target)
             control.taken_mask = taken_mask
         return ExecResult(event, control)
-
-    # ------------------------------------------------------------------
-    def consume_stash_mask(self, warp: Warp, stash, inst: Instruction,
-                           pc: int) -> int:
-        """Advance a region stash by one instruction; return its mask.
-
-        The functional results were committed when the region fused;
-        the caller only needs the execution mask for bookkeeping.  The
-        SM's issue loop uses this directly (no event construction —
-        fusion is gated on nothing consuming per-lane data).
-        """
-        region = stash.region
-        index = stash.index
-        entries = region.entries
-        entry = entries[index] if index < len(entries) else None
-        if region.start + index != pc or entry is None \
-                or entry.inst is not inst:
-            warp.mega_stash = None
-            raise SimulationError(
-                f"megakernel stash desync on SM {self.sm_id} warp "
-                f"{warp.warp_id}: expected pc {region.start + index} of "
-                f"region {region!r}, got pc {pc}"
-            )
-        stash.index = index + 1
-        if stash.index >= len(entries):
-            warp.mega_stash = None
-        self.vector_issues += 1
-        return stash.masks[index]
-
-    def _consume_stash(self, warp: Warp, stash, inst: Instruction,
-                       pc: int, cycle: int) -> ExecResult:
-        """Event-carrying variant of :meth:`consume_stash_mask` for
-        callers that go through :meth:`execute` (first instruction of a
-        freshly fused region, direct executor use in tests)."""
-        exec_mask = self.consume_stash_mask(warp, stash, inst, pc)
-        event = IssueEvent(
-            cycle=cycle,
-            sm_id=self.sm_id,
-            warp_id=warp.warp_id,
-            pc=pc,
-            instruction=inst,
-            logical_mask=exec_mask,
-            hw_mask=warp.hw_mask(exec_mask),
-            warp_width=warp.warp_size,
-            dest_reg=inst.dest_register(),
-        )
-        return ExecResult(event)  # regions are straight-line: "advance"
 
     # ------------------------------------------------------------------
     def reexecute_lane(self, event: IssueEvent, original_lane: int,

@@ -11,17 +11,17 @@ only consumes per-SM issue streams and total kernel cycles.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.common.config import DMRConfig, GPUConfig, LaunchConfig, MappingPolicy
+from repro.common.config import (
+    DMRConfig, GPUConfig, LaunchConfig, MappingPolicy, resolve_engine,
+)
 from repro.obs import ObsSession, resolve_obs
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import IssueEvent
 from repro.sim.executor import FaultHook
 from repro.sim.memory import GlobalMemory
-from repro.sim.megakernel import WarpBatcher
 from repro.sim.sm import DEFAULT_MAX_CYCLES, SM
 
 
@@ -117,13 +117,9 @@ class GPU:
         self.dmr = dmr or DMRConfig.disabled()
         self.fault_hook = fault_hook
         self.max_cycles = max_cycles
-        # execution engine: explicit arg > REPRO_EXEC env var > config.
-        # "auto"/"mega" fuse straight-line regions whenever exactness
-        # allows (never with a fault hook, DMR, or issue listeners
-        # attached); "vector" pins per-issue vectorization; "scalar"
-        # pins the per-lane interpreter.
-        self.engine = engine or os.environ.get("REPRO_EXEC") \
-            or self.config.engine
+        # execution engine: explicit arg > $REPRO_EXEC > config; an
+        # unknown name raises ConfigError here, before any launch
+        self.engine = resolve_engine(engine, self.config)
         # observability: an ObsSession, a mode string ("metrics"/
         # "trace"), True, or None to defer to $REPRO_OBS.  False (the
         # default) disables it outright: no probes are created and the
@@ -190,10 +186,6 @@ class GPU:
         functional_verify = self.fault_hook is not None
         session = self.obs
 
-        # Construct and fully attach every SM before any of them runs:
-        # the megakernel batcher needs all peers' initially-resident
-        # warps, and fusion eligibility (no DMR, no listeners) is only
-        # decidable after attachment.
         sms: List[SM] = []
         for sm_id, block_ids in enumerate(blocks_of_sm):
             if not block_ids:
@@ -227,14 +219,6 @@ class GPU:
             if probe is not None and session.tracing:
                 sm.add_issue_listener(probe.on_issue)
             sms.append(sm)
-
-        # Cross-SM warp batching: one batcher spanning every SM that
-        # may fuse, so warps at the same pc on different SMs execute a
-        # region as one wide array op.  SMs still run sequentially and
-        # remain timing-independent; only functional work is shared.
-        fusable = [sm for sm in sms if sm.fusion_allowed()]
-        if fusable:
-            WarpBatcher(fusable).attach()
 
         return Launch(program, sms, memory, self.fault_hook, session,
                       configs=(cfg, launch, self.dmr))
@@ -297,7 +281,7 @@ class Launch:
         shared.extend(program.instructions)
         shared.extend(self.configs)
         # the program memo holds derived artifacts (hazard plans, decode
-        # entries, fusion regions), built once and never mutated
+        # entries), built once and never mutated
         for artifact in program.__dict__.get("_memo", {}).values():
             shared.append(artifact)
             if isinstance(artifact, list):

@@ -12,33 +12,17 @@ Warped-DMR attaches through the ``dmr`` hook object (duck-typed; see
 stall cycles, which the SM consumes as non-issue cycles — exactly how
 the paper's ReplayQ full/RAW stalls behave.
 
-Two throughput features are layered on top without touching the cycle
-accounting (both asserted cycle/byte-identical by the invariance
-tests):
-
-* **Region fusion** (:mod:`repro.sim.megakernel`): when the engine is
-  ``auto``/``mega`` and nothing observes issues at instruction
-  granularity, a :class:`~repro.sim.megakernel.WarpBatcher` hoists the
-  functional work of straight-line regions; the SM still issues every
-  instruction through the scheduler/scoreboard.
-* **Event-driven cycle skipping** (``GPUConfig.cycle_skip``): pending
-  stall cycles with one cause burn as a single booked span, and when
-  every resident warp is stalled the cycle counter jumps to the next
-  wakeup, bulk-charging the idle counters and probe samples the burned
-  ticks would have produced.  Skipping is disabled under Chrome tracing
-  (which records per-cycle instants) and under DMR idle work.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.common.config import GPUConfig, LaunchConfig, SchedulerPolicy
 from repro.common.errors import SimulationError
 from repro.isa.opcodes import Opcode, UnitType
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.probes import PipelineProbe
 from repro.kernel.program import Program
 from repro.sim.events import IssueEvent
 from repro.sim.executor import ExecResult, Executor, FaultHook
@@ -86,7 +70,7 @@ class SM:
         dmr: Optional[object] = None,
         fault_hook: Optional[FaultHook] = None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        engine: str = "auto",
+        engine: str = "vector",
         probe: Optional[object] = None,
     ) -> None:
         self.sm_id = sm_id
@@ -132,9 +116,6 @@ class SM:
         self._issue_listeners: List[Callable[[IssueEvent], None]] = []
         self._num_regs = max(1, program.num_registers)
         self._num_preds = max(1, program.num_predicates)
-        #: region-fusion batcher (attached by GPU.launch, or a solo one
-        #: created at run() time when fusion is allowed)
-        self._batcher: Optional[object] = None
         # -- per-cycle hot-path caches --------------------------------
         self._insts = program.instructions
         self._plans = program.memo("sm.hazard_plans", _hazard_plans)
@@ -152,18 +133,6 @@ class SM:
         self._hb_active = None
         self._hb_unit = None
         self._hb_raw = None
-        # Cycle skipping must not change what a probe records; the
-        # bulk-count replay below is exact only for the real
-        # PipelineProbe (duck-typed test probes may do anything per
-        # call) and only without a tracer (which records per-cycle
-        # instants).
-        self._skip_enabled = config.cycle_skip and (
-            probe is None
-            or (type(probe) is PipelineProbe and probe.tracer is None)
-        )
-        # Blocks are admitted at construction (not first run()) so a
-        # cross-SM batcher sees every initially-resident warp before
-        # any SM starts executing.
         self._admit_blocks()
 
     # ------------------------------------------------------------------
@@ -172,17 +141,6 @@ class SM:
     def add_issue_listener(self, fn: Callable[[IssueEvent], None]) -> None:
         """Register a callback invoked on every issue (tracing hook)."""
         self._issue_listeners.append(fn)
-
-    def fusion_allowed(self) -> bool:
-        """Whether this SM may run fused regions.
-
-        Requires an engine that fuses AND nothing that observes issues
-        at instruction granularity: no DMR controller, no fault hook,
-        no issue listeners.  Evaluated after attachment (GPU.launch
-        attaches controllers and listeners post-construction).
-        """
-        return (self.executor.fusion_capable and self.dmr is None
-                and not self._issue_listeners)
 
     def _admit_blocks(self) -> None:
         """Launch pending blocks while thread capacity allows."""
@@ -246,9 +204,6 @@ class SM:
         the run that completes the kernel, so a paused SM can be forked
         (:meth:`repro.sim.gpu.Launch.fork`) and resumed exactly.
         """
-        if self._batcher is None and self.fusion_allowed():
-            from repro.sim.megakernel import WarpBatcher
-            WarpBatcher([self]).attach()
         with self.executor.fp_quiet():
             while self._has_work() and (until is None or self.cycle < until):
                 self._tick()
@@ -290,21 +245,11 @@ class SM:
         stalls = self._stall_causes
 
         if stalls:
-            # burn pending stall cycles, attributed to their cause; with
-            # skipping on, a leading run of one cause burns as a single
-            # booked span (clamped so the livelock watchdog still fires
-            # at the identical cycle)
-            cause = stalls.popleft()
-            run = 1
-            if self._skip_enabled:
-                allowed = self.max_cycles + 1 - cycle
-                while run < allowed and stalls and stalls[0] == cause:
-                    stalls.popleft()
-                    run += 1
-            self.cycle = cycle + run
+            # burn one pending stall cycle, attributed to its cause
+            self.cycle = cycle + 1
             if probe is not None:
-                probe.on_cycle(cycle, len(self._resident_warps), run)
-            self._book_stall(cause, run)
+                probe.on_cycle(cycle, len(self._resident_warps))
+            self._book_stall(stalls.popleft(), 1)
             return
 
         self.cycle = cycle + 1
@@ -322,8 +267,6 @@ class SM:
             self.stats.inc("cycles_idle")
             if self.dmr is not None:
                 self.dmr.on_idle(cycle)
-            elif self._skip_enabled:
-                self._skip_idle(cycle)
         elif issued == 2:
             self.stats.inc("dual_issue_cycles")
         if self._retire_pending:
@@ -424,73 +367,7 @@ class SM:
             issued_units.append(inst.unit)
         return issued
 
-    def _skip_idle(self, cycle: int) -> None:
-        """Jump the cycle counter over a provably idle span.
-
-        Called after an idle tick (no DMR): nothing can issue before
-        every warp's ``max(stalled_until, scoreboard ready)``, barriers
-        only release through an issue, and scheduler no-pick state is
-        idempotent — so the skipped ticks are replayed exactly as bulk
-        counter/probe charges.  Clamped so the livelock watchdog fires
-        at the identical cycle.
-        """
-        wake: Optional[int] = None
-        plans = self._plans
-        for warp in self._resident_warps:
-            if warp.barrier_blocked:
-                continue
-            until = warp.stalled_until
-            pc = warp.stack.current_pc
-            if warp.sb_pc == pc:
-                ready = warp.sb_ready
-            else:
-                _, _, hazard_regs, hazard_preds = plans[pc]
-                ready = warp.scoreboard.ready_cycle_flat(
-                    hazard_regs, hazard_preds
-                )
-                warp.sb_pc = pc
-                warp.sb_ready = ready
-            if ready > until:
-                until = ready
-            if wake is None or until < wake:
-                wake = until
-        nxt = self.cycle  # the tick that just ran was `cycle` == nxt - 1
-        cap = self.max_cycles + 1 - nxt
-        extra = cap if wake is None else min(wake - nxt, cap)
-        if extra <= 0:
-            return
-        self.cycle = nxt + extra
-        self.stats.inc("cycles_idle", extra)
-        probe = self._probe
-        if probe is not None:
-            probe.on_cycle(nxt, len(self._resident_warps), extra)
-            for index in range(len(self._schedulers)):
-                warps = self._sched_lists[index]
-                if warps:  # select() on an empty list records nothing
-                    probe.on_schedule(len(warps), False, extra)
-
     def _issue(self, warp: Warp, inst, pc: int, cycle: int) -> None:
-        stash = warp.mega_stash
-        if stash is not None:
-            # Fused fast path: the region's results were committed when
-            # it fused, and fusion is gated on dmr is None and no issue
-            # listeners, so no event needs constructing.  Regions are
-            # straight-line (control is always "advance") and contain
-            # no EXIT, so the warp cannot finish here.  popcount is
-            # mapping-invariant: |hw_mask(m)| == |m|.
-            exec_mask = self.executor.consume_stash_mask(
-                warp, stash, inst, pc
-            )
-            warp.stack.advance()
-            self._charge_latency(warp, inst, pc, cycle)
-            self._record_stats(warp, inst, pc, exec_mask.bit_count(), cycle)
-            if self.config.model_bank_conflicts:
-                from repro.sim.regbank import conflict_extra_cycles
-                extra = conflict_extra_cycles(inst)
-                if extra:
-                    self._defer_stall("bank", extra)
-                    self.stats.inc("bank_conflict_cycles", extra)
-            return
         result = self.executor.execute(warp, inst, pc, cycle)
         self._apply_control(warp, inst, result)
         if warp.done:

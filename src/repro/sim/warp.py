@@ -136,9 +136,6 @@ class Warp:
         self.scoreboard = Scoreboard()
         self.barrier_blocked = False
         self.stalled_until = 0  # cycle before which the warp cannot issue
-        #: megakernel engine: pending fused-region bookkeeping
-        #: (:class:`repro.sim.megakernel.RegionStash`), or None
-        self.mega_stash = None
         #: SM-maintained scoreboard-readiness memo: the pc the cached
         #: ready cycle was computed for (-1 = invalid) and that cycle
         self.sb_pc = -1

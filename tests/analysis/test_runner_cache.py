@@ -85,9 +85,9 @@ class TestKeyCompleteness:
         keys = {
             make_runner(engine=engine)._key("scan", dmr,
                                             experiment_config(num_sms=2))
-            for engine in ("scalar", "vector", "mega", "auto")
+            for engine in ("scalar", "vector")
         }
-        assert len(keys) == 4
+        assert len(keys) == 2
 
     def test_repro_exec_env_reaches_the_key(self, monkeypatch):
         dmr = DMRConfig.disabled()
@@ -99,7 +99,7 @@ class TestKeyCompleteness:
     def test_explicit_engine_shadows_env(self, monkeypatch):
         """An explicit engine pin must key identically regardless of env."""
         dmr = DMRConfig.disabled()
-        runner = make_runner(engine="mega")
+        runner = make_runner(engine="vector")
         base = runner._key("scan", dmr, runner.config)
         monkeypatch.setenv("REPRO_EXEC", "scalar")
         assert runner._key("scan", dmr, runner.config) == base
@@ -300,7 +300,7 @@ class TestCrossProcessDeterminism:
         """Two independent worker processes must produce byte-identical
         payloads for the same spec (what the cache persists)."""
         args = ("scan", DMRConfig.paper_default(),
-                experiment_config(num_sms=2), SCALE, 0, True)
+                experiment_config(num_sms=2), SCALE, 0, True, None, False)
         payloads = []
         for _ in range(2):  # one single-worker pool each => two processes
             with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
@@ -314,7 +314,7 @@ class TestCrossProcessDeterminism:
         # a nonsense config cannot fail check, so just assert the flag
         # round-trips: check_outputs=False skips verification paths
         args = ("scan", DMRConfig.disabled(),
-                experiment_config(num_sms=2), SCALE, 0, False)
+                experiment_config(num_sms=2), SCALE, 0, False, None, False)
         payload = _simulate_payload(args)
         assert payload["cycles"] > 0
 

@@ -206,7 +206,7 @@ def test_batched_verify_matches_scalar_oracle(name, mode, data):
         st.none(), st.integers(min_value=0, max_value=(1 << WARP_SIZE) - 1)),
         label="protected_mask")
 
-    warp, executor, _ = _build("auto", block_dim, mapping)
+    warp, executor, _ = _build("vector", block_dim, mapping)
     try:
         event = _issue(executor, warp, inst, reg_values, pred_values)
     except Exception:
@@ -251,11 +251,11 @@ IADD = Instruction(opcode=Opcode.IADD, dst=Reg(3), srcs=(Reg(0), Reg(1)))
 
 def _armed_issue():
     """An IADD issued (vectorized) before a transient strikes lane 5."""
-    warp, _, memory = _build("auto", WARP_SIZE, IDENTITY)
+    warp, _, memory = _build("vector", WARP_SIZE, IDENTITY)
     injector = FaultInjector([TransientFault(
         sm_id=0, hw_lane=STRIKE_LANE, unit=UnitType.SP, bit=3,
         cycle=STRIKE_CYCLE)])
-    executor = Executor(0, memory, injector, engine="auto")
+    executor = Executor(0, memory, injector, engine="vector")
     event = _issue(executor, warp, IADD,
                    [list(range(WARP_SIZE)), [7] * WARP_SIZE], [])
     assert event.capture is not None  # issued outside the fault window
@@ -316,7 +316,7 @@ def test_writes_through_lane_dicts_are_honoured():
 def test_batched_compare_keeps_comparator_semantics():
     """``-0.0 == 0.0``, NaN == NaN and ``5 == 5.0`` are not detections;
     a flipped int and a NaN against a number are — in lane order."""
-    warp, executor, _ = _build("auto", WARP_SIZE, IDENTITY)
+    warp, executor, _ = _build("vector", WARP_SIZE, IDENTITY)
     fmul = Instruction(opcode=Opcode.FMUL, dst=Reg(3), srcs=(Reg(0), Reg(1)))
     lhs = [0.0, math.nan, 2.0, 3.0] + [1.0] * (WARP_SIZE - 4)
     event = _issue(executor, warp, fmul, [lhs, [1.0] * WARP_SIZE], [])

@@ -90,7 +90,7 @@ class TestResumableCache:
                 != fault_run_key(spec, fault))
         # engine is excluded by the bit-identity contract
         assert (fault_run_key(replace(spec, engine="scalar"), fault)
-                == fault_run_key(replace(spec, engine="auto"), fault))
+                == fault_run_key(replace(spec, engine="vector"), fault))
 
 
 class TestParallelFanOut:

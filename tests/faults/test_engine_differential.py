@@ -5,7 +5,7 @@ keys — a classification computed under the scalar interpreter must be
 interchangeable with one computed under the windowed vector path (run
 vectorized until the fault can fire, scalar only inside the activation
 window).  These tests are that contract's enforcement: identical fault
-lists under ``engine="scalar"`` and ``engine="auto"`` must yield
+lists under ``engine="scalar"`` and ``engine="vector"`` must yield
 byte-identical :class:`FaultRun` payloads — outcomes, detection counts,
 activations and cycle counts — across DMR configurations.
 
@@ -55,8 +55,8 @@ def test_sampled_transients_engine_invariant(dmr):
     faults = FaultSampler(spec.config, windows=2).sample(
         12, horizon, seed=11)
     scalar = campaign_payloads(replace(spec, engine="scalar"), faults)
-    auto = campaign_payloads(replace(spec, engine="auto"), faults)
-    assert scalar == auto
+    vector = campaign_payloads(replace(spec, engine="vector"), faults)
+    assert scalar == vector
 
 
 def test_stuck_at_faults_engine_invariant():
@@ -69,19 +69,19 @@ def test_stuck_at_faults_engine_invariant():
                                 (9, UnitType.LDST, 1), (13, UnitType.SFU, 7)]
     ]
     scalar = campaign_payloads(replace(spec, engine="scalar"), faults)
-    auto = campaign_payloads(replace(spec, engine="auto"), faults)
-    assert scalar == auto
+    vector = campaign_payloads(replace(spec, engine="vector"), faults)
+    assert scalar == vector
 
 
 def _run_faulty_sm(fault, iterations: int = 40) -> SM:
-    """One SM running the counting kernel under *fault*, engine=auto."""
+    """One SM running the counting kernel under *fault*, engine=vector."""
     config = GPUConfig.small(1)
     program = build_counting_kernel(iterations)
     sm = SM(sm_id=0, config=config, program=program,
             launch=LaunchConfig(1, 32), block_ids=[0],
             global_memory=GlobalMemory(),
             lane_of_slot=list(range(config.warp_size)),
-            fault_hook=FaultInjector([fault]), engine="auto")
+            fault_hook=FaultInjector([fault]), engine="vector")
     sm.run()
     return sm
 

@@ -14,14 +14,14 @@ import pytest
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
 from repro.common.errors import SimulationError
-from repro.faults.campaign import (DEFAULT_MAX_FAULTY_CYCLES,
-                                   DEFAULT_WATCHDOG_FACTOR,
-                                   DEFAULT_WATCHDOG_SLACK, CampaignEngine,
-                                   CampaignSpec, FaultCampaign, Outcome,
-                                   cycle_budget)
+from repro.faults.campaign import (CampaignEngine, CampaignSpec,
+                                   FaultCampaign, Outcome)
 from repro.faults.injector import FaultInjector
 from repro.faults.models import StuckAtFault
 from repro.isa.opcodes import UnitType
+from repro.resilience.deadline import (DEFAULT_MAX_FAULTY_CYCLES,
+                                       DEFAULT_WATCHDOG_FACTOR,
+                                       DEFAULT_WATCHDOG_SLACK, cycle_budget)
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 

@@ -7,7 +7,7 @@ validation, so the checks here are the ones the type system can't
 enforce — terminator, top-level unpredicated barriers, register
 budget), byte-identical regeneration, payload round-tripping, and —
 for a smaller sample, since it simulates — termination within the
-declared cycle budget with all four executions bit-identical.
+declared cycle budget with all three executions bit-identical.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class TestExecution:
     @given(seed=SEEDS)
     @settings(max_examples=12, deadline=None)
     def test_validates_within_declared_budget(self, seed):
-        """Terminates under its own cycle budget, bit-identical 4 ways.
+        """Terminates under its own cycle budget, bit-identical 3 ways.
 
         ``validate_kernel`` simulates with ``max_cycles`` set to the
         kernel's declared budget, so a budget overrun surfaces as a
@@ -129,5 +129,5 @@ class TestExecution:
         kernel = generate_kernel(seed, PRESETS["tiny"])
         outcome = validate_kernel(kernel)
         assert outcome.ok, (seed, outcome.errors)
-        for engine in ("scalar", "vector", "mega"):
+        for engine in ("scalar", "vector"):
             assert outcome.engine_digests[engine] == outcome.reference_digest

@@ -9,11 +9,13 @@ per-engine issue counters.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.common.config import LaunchConfig
-from repro.common.errors import SimulationError
+from repro.common.config import GPUConfig, LaunchConfig
+from repro.common.errors import ConfigError, SimulationError
 from repro.sim import vexec
 from repro.sim.executor import Executor, FaultHook
 from repro.sim.gpu import GPU
@@ -37,7 +39,7 @@ def _warp(block_dim=WARP, num_regs=4):
     return warp
 
 
-def _executor(engine="auto", fault_hook=None):
+def _executor(engine="vector", fault_hook=None):
     return Executor(0, GlobalMemory(size_words=1024), fault_hook,
                     engine=engine)
 
@@ -53,7 +55,21 @@ def test_invalid_engine_rejected():
         _executor(engine="turbo")
 
 
-def test_auto_engine_vectorizes():
+def test_retired_engine_names_rejected(monkeypatch):
+    """Only scalar and vector exist; a retired name (the old default
+    ``auto``, the fused ``mega``) fails at construction, from every
+    place an engine can be named, before anything is simulated."""
+    expected = re.escape(str(("scalar", "vector")))
+    with pytest.raises(ConfigError, match=expected):
+        GPUConfig(engine="mega")
+    with pytest.raises(ConfigError, match=expected):
+        GPU(engine="auto")
+    monkeypatch.setenv("REPRO_EXEC", "mega")
+    with pytest.raises(ConfigError, match=expected):
+        GPU()
+
+
+def test_default_engine_vectorizes():
     ex, warp = _executor(), _warp()
     ex.execute(warp, IADD, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == (1, 0)
@@ -77,7 +93,7 @@ def test_repro_exec_env_pins_gpu_engine(monkeypatch):
     monkeypatch.setenv("REPRO_EXEC", "scalar")
     assert GPU().engine == "scalar"
     monkeypatch.delenv("REPRO_EXEC")
-    assert GPU().engine == "auto"
+    assert GPU().engine == "vector"
     assert GPU(engine="scalar").engine == "scalar"
 
 
@@ -116,7 +132,7 @@ def test_int_op_on_float_operand_falls_back():
 
 
 def test_f2i_nonfinite_raises_identically():
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "vector"):
         ex, warp = _executor(engine=engine), _warp()
         for slot in range(WARP):
             warp.write_reg(slot, 0, float("inf"))
@@ -184,7 +200,7 @@ def test_mask_bits_is_readonly():
 # End-to-end smoke: full launch on each engine
 # ----------------------------------------------------------------------
 def test_launch_smoke_both_engines():
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "vector"):
         k = KernelBuilder("smoke")
         addr, val = k.regs(2)
         k.gtid(addr)

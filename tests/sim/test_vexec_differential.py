@@ -32,16 +32,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.runner import experiment_config
-from repro.common.config import DMRConfig, MappingPolicy
+from repro.common.config import (DMRConfig, GPUConfig, LaunchConfig,
+                                 MappingPolicy)
 from repro.core.mapping import lane_permutation
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CmpOp, Opcode
 from repro.isa.operands import Imm, Reg, SReg, SpecialReg
+from repro.kernel.builder import KernelBuilder
 from repro.sim.executor import Executor
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 from repro.sim.warp import ThreadBlock, Warp
 from repro.workloads import all_workloads, get_workload
+
+from tests.conftest import build_counting_kernel, build_divergent_kernel
 
 WARP_SIZE = 32
 NUM_REGS = 4
@@ -188,7 +192,7 @@ def _snapshot(warp, executor, memory, result):
 def _run_both(inst, reg_values, pred_values, block_dim, mapping):
     """Execute *inst* on both engines; compare state or exception type."""
     outcomes = []
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "vector"):
         warp, executor, memory = _build(engine, block_dim, mapping)
         for reg, column in enumerate(reg_values):
             for slot in range(warp.live_slots):
@@ -312,21 +316,62 @@ ENGINE_DMR_VARIANTS = [
 def test_workload_payloads_identical_across_engines(name, dmr):
     """Scalar and vectorized runs must produce byte-identical payloads."""
     payloads = {}
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "vector"):
         run = get_workload(name).prepare(SCALE, SEED)
         gpu = GPU(experiment_config(num_sms=2),
                   dmr=dmr or DMRConfig.disabled(), engine=engine)
         result = gpu.launch(run.program, run.launch, memory=run.memory)
         run.check(run.memory)
         payloads[engine] = pickle.dumps(result.to_payload())
-    assert payloads["scalar"] == payloads["auto"], (
+    assert payloads["scalar"] == payloads["vector"], (
         f"{name} diverged between execution engines under {dmr!r}"
     )
 
 
+def build_predicated_kernel():
+    """Guarded ALU work feeding a SELP: per-lane predicates, no branch."""
+    b = KernelBuilder("predicated")
+    gid, t, lo, hi, out = b.regs(5)
+    p = b.pred()
+    b.gtid(gid)
+    b.irem(t, gid, 3)
+    b.setp(p, t, CmpOp.EQ, 1)
+    b.imul(lo, gid, 7)
+    b.iadd(hi, gid, 100)
+    b.selp(out, hi, lo, p)
+    b.st_global(gid, out)
+    b.exit()
+    return b.build()
+
+
+#: hand-built kernels: (builder, grid, block, SMs) — loops, divergence,
+#: guard predicates, a partial warp and a multi-SM launch
+KERNELS = {
+    "loop": (build_counting_kernel, 1, 32, 1),
+    "divergent": (build_divergent_kernel, 1, 32, 1),
+    "predicated": (build_predicated_kernel, 1, 32, 1),
+    "partial_warp": (build_divergent_kernel, 1, 20, 1),
+    "multi_sm": (build_counting_kernel, 4, 64, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_payloads_identical_across_engines(name):
+    """Every observable of a launch — memory, stats, cycles, detections
+    — is byte-identical between the scalar and vector engines."""
+    build, grid, block, num_sms = KERNELS[name]
+    payloads = {}
+    for engine in ("scalar", "vector"):
+        result = GPU(GPUConfig.small(num_sms), engine=engine).launch(
+            build(), LaunchConfig(grid_dim=grid, block_dim=block),
+            memory=GlobalMemory())
+        payloads[engine] = pickle.dumps(result.to_payload())
+    assert payloads["scalar"] == payloads["vector"], name
+
+
 def test_vector_engine_actually_engages():
     """The payload equality above must not be vacuous: a fault-free
-    auto-engine run executes (nearly) everything vectorized."""
+    vector-engine run executes (nearly) everything vectorized."""
     run = get_workload("matrixmul").prepare(SCALE, SEED)
     counts = {"vector": 0, "scalar": 0}
     from repro.sim.sm import SM
@@ -341,7 +386,7 @@ def test_vector_engine_actually_engages():
 
     SM.run = spying_run
     try:
-        GPU(experiment_config(num_sms=2), engine="auto").launch(
+        GPU(experiment_config(num_sms=2), engine="vector").launch(
             run.program, run.launch, memory=run.memory)
     finally:
         SM.run = original
