@@ -17,10 +17,9 @@ from repro.common.config import (
     LaunchConfig,
     SchedulerPolicy,
 )
-from repro.faults.campaign import FaultCampaign, Outcome
+from repro.faults.campaign import CampaignEngine, CampaignSpec, Outcome
 from repro.faults.models import StuckAtFault
 from repro.isa.opcodes import UnitType
-from repro.workloads import get_workload
 
 from benchmarks.conftest import emit, once
 
@@ -29,20 +28,13 @@ def test_ablation_lane_shuffle_hidden_errors(benchmark, results_dir):
     """Stuck-at faults on fully-utilized workloads: without lane
     shuffling, inter-warp replay lands on the defective SP and the
     error hides."""
-    workload = get_workload("sha")
-    config = GPUConfig.small(1)
-
     def campaign_for(shuffle: bool):
         # full scale: SHA's warps must be fully utilized so detection
         # rests on inter-warp replay alone (partial warps would let
         # intra-warp DMR catch the fault in both configurations)
-        campaign = FaultCampaign(
-            config=config,
-            dmr=DMRConfig(lane_shuffle=shuffle),
-            make_run=lambda: workload.prepare(scale=1.0),
-            output_of=lambda memory: workload.prepare(
-                scale=1.0).output_of(memory),
-        )
+        campaign = CampaignEngine(CampaignSpec(
+            workload="sha", config=GPUConfig.small(1),
+            dmr=DMRConfig(lane_shuffle=shuffle), scale=1.0))
         faults = [
             StuckAtFault(sm_id=0, hw_lane=lane, unit=UnitType.SP,
                          bit=4, stuck_to=1)

@@ -389,7 +389,8 @@ def cmd_campaign(args) -> int:
     start = time.perf_counter()
     result = engine.run(faults)
     seconds = time.perf_counter() - start
-    low, high = result.coverage_interval(args.confidence)
+    coverage = result.coverage(args.confidence)
+    low, high = coverage["low"], coverage["high"]
 
     histogram = result.summary()
     payload = {
@@ -406,14 +407,7 @@ def cmd_campaign(args) -> int:
         "faults_per_s": result.total / seconds if seconds else 0.0,
         "simulations": engine.simulations,
         "outcomes": histogram,
-        "coverage": {
-            "rate": result.detection_rate,
-            "detected": result.detected_runs,
-            "harmful": result.harmful_runs,
-            "confidence": args.confidence,
-            "low": low,
-            "high": high,
-        },
+        "coverage": coverage,
         "resilience": dict(engine.harness.counters()),
     }
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -32,11 +32,12 @@ import os
 import pathlib
 import pickle
 import tempfile
-from typing import Optional
+from typing import Dict, Optional, Union
 
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, MetricSnapshot, MetricsRegistry
+from repro.resilience.supervisor import Supervisor, declare_harness_metrics
 from repro.sim.gpu import KernelResult
 
 #: Bump when the cached payload layout or simulator semantics change in
@@ -130,6 +131,25 @@ class ResultCache:
         self.stores = 0
         self.corrupt = 0
         self.quarantined = 0
+
+    @classmethod
+    def resolve(cls, cache: Union[None, bool, str, os.PathLike,
+                                  "ResultCache"],
+                registry: Optional[MetricsRegistry] = None
+                ) -> Optional["ResultCache"]:
+        """The persistent layer a ``cache`` argument names.
+
+        ``None``/``False`` is none (in-memory only), ``True`` the
+        default directory, a path that directory, and a ready
+        :class:`ResultCache` is taken as is.
+        """
+        if isinstance(cache, cls):
+            return cache
+        if cache is True:
+            return cls(registry=registry)
+        if cache:
+            return cls(cache, registry=registry)
+        return None
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> pathlib.Path:
@@ -273,3 +293,83 @@ class ResultCache:
         return (f"ResultCache({str(self.cache_dir)!r}, hits={self.hits}, "
                 f"misses={self.misses}, stores={self.stores}, "
                 f"corrupt={self.corrupt})")
+
+
+class CachedRunner:
+    """Plumbing shared by the suite runner and the campaign engine.
+
+    Both keep every result twice — in memory and, when ``cache`` names
+    one (:meth:`ResultCache.resolve`), in the persistent layer — and
+    fan their misses out ``jobs`` wide through a supervised pool
+    (:mod:`repro.resilience`).  Worker deaths, broken pools and flaky
+    exceptions retry with deterministic backoff, and every such event
+    lands in the runner's *harness registry* (:meth:`harness_snapshot`).
+    A supplied ``supervisor`` wins and its registry becomes the
+    harness.  Results are stored as their ``to_payload`` form and
+    restored through :attr:`result_type`.
+    """
+
+    #: first word of the :meth:`cache_summary` line
+    summary_label = "cache"
+    #: what the runner caches: a class with ``to_payload``/``from_payload``
+    result_type = KernelResult
+
+    def __init__(self, cache, jobs: int,
+                 supervisor: Optional[Supervisor] = None) -> None:
+        self.jobs = max(1, jobs)
+        if supervisor is None:
+            supervisor = Supervisor(
+                registry=declare_harness_metrics(MetricsRegistry()))
+        self.supervisor = supervisor
+        self.harness = supervisor.registry
+        self.persistent_cache = ResultCache.resolve(cache, self.harness)
+        self._memory: Dict[str, object] = {}
+        self.simulations = 0  # results actually computed (here or in a pool)
+
+    def _lookup(self, key: str):
+        """Memory cache, then persistent cache (promoting on hit)."""
+        if key in self._memory:
+            return self._memory[key]
+        if self.persistent_cache is not None:
+            payload = self.persistent_cache.get_payload(key)
+            if payload is not None:
+                try:
+                    result = self.result_type.from_payload(payload)
+                except (KeyError, TypeError, AttributeError, ValueError):
+                    return None  # foreign/stale payload: treat as miss
+                self._memory[key] = result
+                return result
+        return None
+
+    def _store(self, key: str, result) -> None:
+        """Book one freshly computed *result* in both cache layers."""
+        self._memory[key] = result
+        self.simulations += 1
+        if self.persistent_cache is not None:
+            self.persistent_cache.put_payload(key, result.to_payload())
+
+    def harness_snapshot(self) -> MetricSnapshot:
+        """Supervision counters (retries, timeouts, pool rebuilds,
+        cache corruption/quarantines) accumulated by this runner."""
+        return MetricSnapshot.from_registry(self.harness)
+
+    def cache_summary(self) -> str:
+        """One-line accounting, printed to stderr by the CLI."""
+        parts = [f"simulations={self.simulations}",
+                 f"memory-entries={len(self._memory)}"]
+        if self.persistent_cache is not None:
+            pc = self.persistent_cache
+            parts.append(f"disk-hits={pc.hits}")
+            parts.append(f"disk-stores={pc.stores}")
+            if pc.corrupt:
+                parts.append(f"corrupt={pc.corrupt}")
+                parts.append(f"quarantined={pc.quarantined}")
+            parts.append(f"dir={pc.cache_dir}")
+        for counter, label in (("resilience_retries", "retries"),
+                               ("resilience_timeouts", "timeouts"),
+                               ("resilience_pool_rebuilds",
+                                "pool-rebuilds")):
+            value = self.harness.value(counter)
+            if value:
+                parts.append(f"{label}={value}")
+        return f"{self.summary_label}: " + " ".join(parts)

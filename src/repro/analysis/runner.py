@@ -23,11 +23,10 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.result_cache import ResultCache, result_key
+from repro.analysis.result_cache import CachedRunner, ResultCache, result_key
 from repro.common.config import DMRConfig, GPUConfig, resolve_engine
 from repro.obs import MetricSnapshot, aggregate_payloads
-from repro.obs.metrics import MetricsRegistry
-from repro.resilience import Supervisor, declare_harness_metrics
+from repro.resilience import Supervisor
 from repro.service.sharding import fanout_workers
 from repro.sim.gpu import GPU, KernelResult
 from repro.workloads import all_workloads, get_workload
@@ -73,26 +72,6 @@ def default_jobs() -> int:
     return max(1, min(4, usable_cpus()))
 
 
-def pool_map(fn, args: Sequence, workers: int, *,
-             supervisor: Optional[Supervisor] = None) -> List:
-    """Map *fn* over *args* in a supervised worker pool, preserving order.
-
-    The shared fan-out primitive for everything that scales by adding
-    simulations — suite runs and fault campaigns both route their cache
-    misses through here.  *fn* must be module-level (picklable under
-    any multiprocessing start method) and should return plain data so
-    the IPC never depends on simulator classes unpickling identically.
-    With ``workers <= 1`` (or one task) the map runs in-process.
-
-    Since PR 5 this is a thin front on
-    :class:`repro.resilience.Supervisor`: worker deaths, broken pools
-    and flaky exceptions retry with backoff instead of killing the
-    whole map.  Pass a configured *supervisor* to add deadlines, a
-    custom retry policy, or metrics accounting.
-    """
-    return (supervisor or Supervisor()).map(fn, args, workers)
-
-
 def _simulate_payload(args: Tuple[str, DMRConfig, GPUConfig, float, int,
                                   bool, Optional[str], bool]) -> dict:
     """Worker entry point: simulate one spec, return the result payload.
@@ -126,7 +105,7 @@ def aggregate_metrics(results: Iterable[KernelResult]) -> MetricSnapshot:
     return aggregate_payloads(result.obs for result in results)
 
 
-class SuiteRunner:
+class SuiteRunner(CachedRunner):
     """Runs workloads under varying DMR configurations, caching results.
 
     Experiments share baseline runs heavily (every figure normalizes to
@@ -134,9 +113,8 @@ class SuiteRunner:
     configuration — GPU/DMR config fingerprints, ``scale``, ``seed``
     and ``check_outputs`` — so each distinct run simulates once.
 
-    ``cache`` selects the persistent layer: ``None``/``False`` for
-    in-memory only, ``True`` for the default on-disk location, a path
-    for a specific directory, or a ready :class:`ResultCache`.
+    ``cache`` selects the persistent layer (``None``/``False``, ``True``,
+    a path or a ready :class:`ResultCache`; see :class:`CachedRunner`).
     ``jobs`` sets the default fan-out for :meth:`run_many` /
     :meth:`run_suite` (1 = serial in-process).
 
@@ -148,13 +126,8 @@ class SuiteRunner:
     compare an engine against its own cached twin), so each engine
     keeps separate entries.
 
-    Fan-outs are supervised (:mod:`repro.resilience`): worker deaths,
-    broken pools and flaky exceptions retry with deterministic backoff,
-    and every such event lands in this runner's *harness registry*
-    (:meth:`harness_snapshot`).  Pass a ready ``supervisor`` to
-    customize the policy (the chaos harness does); otherwise one is
-    built over the harness registry, with ``deadline`` seconds (if
-    given) bounding each supervised task's wall clock.
+    Fan-outs are supervised (:class:`CachedRunner`); pass a ready
+    ``supervisor`` to customize the retry policy.
     """
 
     def __init__(self, config: Optional[GPUConfig] = None,
@@ -164,33 +137,14 @@ class SuiteRunner:
                               ResultCache] = None,
                  jobs: int = 1, engine: Optional[str] = None,
                  obs: bool = False,
-                 supervisor: Optional[Supervisor] = None,
-                 deadline: Optional[float] = None) -> None:
+                 supervisor: Optional[Supervisor] = None) -> None:
+        super().__init__(cache, jobs, supervisor)
         self.config = config or experiment_config()
         self.scale = scale
         self.seed = seed
         self.check_outputs = check_outputs
         self.engine = engine
         self.obs = bool(obs)
-        self.jobs = max(1, jobs)
-        self._cache: Dict[str, KernelResult] = {}
-        if supervisor is not None:
-            self.supervisor = supervisor
-            self.harness = supervisor.registry
-        else:
-            self.harness = declare_harness_metrics(MetricsRegistry())
-            self.supervisor = Supervisor(registry=self.harness,
-                                         deadline=deadline)
-        if isinstance(cache, ResultCache):
-            self.persistent_cache: Optional[ResultCache] = cache
-        elif cache is True:
-            self.persistent_cache = ResultCache(registry=self.harness)
-        elif cache:
-            self.persistent_cache = ResultCache(cache,
-                                                registry=self.harness)
-        else:
-            self.persistent_cache = None
-        self.simulations = 0  # runs actually executed (locally or in a pool)
 
     # ------------------------------------------------------------------
     def _key(self, name: str, dmr: DMRConfig, config: GPUConfig) -> str:
@@ -209,22 +163,6 @@ class SuiteRunner:
               config: Optional[GPUConfig]) -> RunSpec:
         return (name, dmr or DMRConfig.disabled(), config or self.config)
 
-    def _lookup(self, key: str) -> Optional[KernelResult]:
-        """Memory cache, then persistent cache (promoting on hit)."""
-        if key in self._cache:
-            return self._cache[key]
-        if self.persistent_cache is not None:
-            result = self.persistent_cache.get(key)
-            if result is not None:
-                self._cache[key] = result
-                return result
-        return None
-
-    def _store(self, key: str, result: KernelResult) -> None:
-        self._cache[key] = result
-        if self.persistent_cache is not None:
-            self.persistent_cache.put(key, result)
-
     # ------------------------------------------------------------------
     def run(self, name: str, dmr: Optional[DMRConfig] = None,
             config: Optional[GPUConfig] = None) -> KernelResult:
@@ -238,7 +176,6 @@ class SuiteRunner:
             (name, dmr, config, self.scale, self.seed, self.check_outputs,
              self.engine, self.obs)
         )
-        self.simulations += 1
         result = KernelResult.from_payload(payload)
         self._store(key, result)
         return result
@@ -282,13 +219,12 @@ class SuiteRunner:
                     for name, dmr, config in (spec for _, spec in order)]
             payloads = self.supervisor.map(_simulate_payload, args, workers)
             for (key, _), payload in zip(order, payloads):
-                self.simulations += 1
                 self._store(key, KernelResult.from_payload(payload))
         else:
             for key, (name, dmr, config) in missing.items():
                 self.run(name, dmr, config)
 
-        return [self._cache[key] for key in keys]
+        return [self._memory[key] for key in keys]
 
     def prefetch(self, specs: Iterable[Tuple], *,
                  parallel: Optional[int] = None) -> None:
@@ -309,33 +245,3 @@ class SuiteRunner:
             [(name, dmr, config) for name in names], parallel=parallel
         )
         return dict(zip(names, results))
-
-    # ------------------------------------------------------------------
-    def harness_snapshot(self) -> MetricSnapshot:
-        """Supervision counters (retries, timeouts, pool rebuilds,
-        cache corruption/quarantines) accumulated by this runner."""
-        return MetricSnapshot.from_registry(self.harness)
-
-    def cache_summary(self) -> str:
-        """One-line accounting, printed to stderr by the CLI."""
-        memory_entries = len(self._cache)
-        parts = [f"simulations={self.simulations}",
-                 f"memory-entries={memory_entries}"]
-        if self.persistent_cache is not None:
-            pc = self.persistent_cache
-            parts.append(f"disk-hits={pc.hits}")
-            parts.append(f"disk-stores={pc.stores}")
-            if pc.corrupt:
-                parts.append(f"corrupt={pc.corrupt}")
-                parts.append(f"quarantined={pc.quarantined}")
-            parts.append(f"dir={pc.cache_dir}")
-        retries = self.harness.value("resilience_retries")
-        if retries:
-            parts.append(f"retries={retries}")
-        timeouts = self.harness.value("resilience_timeouts")
-        if timeouts:
-            parts.append(f"timeouts={timeouts}")
-        rebuilds = self.harness.value("resilience_pool_rebuilds")
-        if rebuilds:
-            parts.append(f"pool-rebuilds={rebuilds}")
-        return "cache: " + " ".join(parts)

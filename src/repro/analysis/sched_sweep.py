@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.analysis.result_cache import ResultCache, code_version_salt
-from repro.analysis.runner import default_jobs, pool_map
+from repro.analysis.runner import default_jobs
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError
 from repro.core.coverage import CoverageReport
@@ -34,6 +34,7 @@ from repro.fuzz.corpus import Corpus
 from repro.fuzz.differential import fuzz_gpu_config, run_kernel
 from repro.fuzz.serialize import FuzzKernel
 from repro.obs import MetricSnapshot, aggregate_payloads
+from repro.resilience import Supervisor
 
 #: row label for the deterministic policy-driven schedule
 POLICY_LABEL = "policy"
@@ -62,17 +63,6 @@ def _sched_run_payload(args: Tuple) -> Dict:
     kernel = FuzzKernel.from_payload(kernel_payload)
     result = run_kernel(kernel, config=config, dmr=dmr)
     return result.to_payload()
-
-
-def _resolve_cache(cache: Union[None, bool, str, ResultCache]
-                   ) -> Optional[ResultCache]:
-    if cache is None or cache is False:
-        return None
-    if isinstance(cache, ResultCache):
-        return cache
-    if cache is True:
-        return ResultCache()
-    return ResultCache(cache_dir=cache)
 
 
 def _schedule_row(label: str, payloads: Sequence[Dict]) -> Dict:
@@ -104,8 +94,7 @@ def run_fig_sched(corpus_dir: str, *,
                   num_sms: int = 2,
                   dmr: Optional[DMRConfig] = None,
                   cache: Union[None, bool, str, ResultCache] = True,
-                  jobs: Optional[int] = None,
-                  supervisor: Optional[object] = None) -> Dict:
+                  jobs: Optional[int] = None) -> Dict:
     """Sweep *schedules* seeded interleavings over *kernels* corpus kernels.
 
     Returns plain data: one row per schedule (seeds ``0..N-1`` plus the
@@ -125,7 +114,7 @@ def run_fig_sched(corpus_dir: str, *,
     payloads = {digest: corpus.load(digest).to_payload()
                 for digest in digests}
     dmr = dmr if dmr is not None else DMRConfig.paper_default()
-    resolved_cache = _resolve_cache(cache)
+    resolved_cache = ResultCache.resolve(cache)
     jobs = jobs if jobs is not None else default_jobs()
 
     # Schedule None = the deterministic policy baseline, then N seeds.
@@ -146,10 +135,9 @@ def run_fig_sched(corpus_dir: str, *,
         else:
             misses.append((key, (payloads[digest], config, dmr)))
     if misses:
-        fresh = pool_map(_sched_run_payload,
-                         [args for _, args in misses],
-                         workers=min(jobs, len(misses)),
-                         supervisor=supervisor)
+        fresh = Supervisor().map(_sched_run_payload,
+                                 [args for _, args in misses],
+                                 min(jobs, len(misses)))
         for (key, _), payload in zip(misses, fresh):
             results[key] = payload
             if resolved_cache is not None:

@@ -6,13 +6,16 @@ paper discusses — transient bit flips and permanent stuck-at defects in
 execution-unit lanes — and classifying each run's outcome (detected /
 silent data corruption / masked / hung).
 
-Two campaign harnesses exist: :class:`FaultCampaign` runs arbitrary
-kernels in-process, while :class:`CampaignEngine` scales registry
-workloads out across worker processes with every ``(workload, config,
-fault)`` classification content-addressed in the persistent result
-cache.  :class:`FaultSampler` draws stratified fault samples so big
-campaigns can report coverage with a confidence interval instead of
-running exhaustively.
+:class:`CampaignEngine` runs every campaign: it forks each faulty run
+off one shared fault-free prefix, fans cache misses out across worker
+processes, and content-addresses every ``(workload, config, fault)``
+classification in the persistent result cache.  A :class:`CampaignSpec`
+names a registry workload; to inject into a hand-built kernel, subclass
+it (frozen) and override ``prepare()`` to return a fresh object with
+``program``, ``launch``, ``memory`` and ``output_of(memory)``.
+:class:`FaultSampler` draws stratified fault samples so big campaigns
+can report coverage with a confidence interval instead of running
+exhaustively.
 """
 
 from repro.faults.models import (
@@ -29,7 +32,6 @@ from repro.faults.campaign import (
     CampaignEngine,
     CampaignResult,
     CampaignSpec,
-    FaultCampaign,
     FaultRun,
     Outcome,
     fault_run_key,
@@ -41,7 +43,6 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "Fault",
-    "FaultCampaign",
     "FaultInjector",
     "FaultRun",
     "FaultSampler",

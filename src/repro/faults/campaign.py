@@ -13,20 +13,20 @@ one run per fault, classifying each faulty run:
 * ``HUNG`` — the fault corrupted control flow into a livelock, caught
   by the campaign's cycle-budget watchdog (see below).
 
-Two harnesses share the classification logic:
+:class:`CampaignEngine` is the one harness.  It takes a plain-data
+:class:`CampaignSpec` (a registry workload + configs), so every
+``(workload, config, fault)`` run is content-addressable in the
+persistent :class:`~repro.analysis.result_cache.ResultCache` and the
+misses fan out across worker processes.  A warm-cache rerun — or a
+campaign interrupted and restarted — performs **zero** new
+simulations.  To inject into a hand-built kernel instead of a registry
+workload, subclass :class:`CampaignSpec` (frozen, like its parent) and
+override :meth:`~CampaignSpec.prepare` to return a fresh object with
+``program``, ``launch``, ``memory`` and ``output_of(memory)``; keep
+such a spec in-memory (no persistent cache), since the cache keys name
+the workload, not the kernel.
 
-* :class:`FaultCampaign` — the in-process harness.  Takes arbitrary
-  ``make_run``/``output_of`` callables, so tests can inject into any
-  hand-built kernel; runs serially, one simulation per fault.
-* :class:`CampaignEngine` — the scaled harness.  Takes a plain-data
-  :class:`CampaignSpec` (a registry workload + configs), so every
-  ``(workload, config, fault)`` run is content-addressable in the
-  persistent :class:`~repro.analysis.result_cache.ResultCache` and the
-  misses fan out across worker processes.  A warm-cache rerun — or a
-  campaign interrupted and restarted — performs **zero** new
-  simulations.
-
-Both harnesses bound faulty runs with a *cycle-budget watchdog*: the
+Every faulty run is bounded by a *cycle-budget watchdog*: the
 budget is ``watchdog_factor x golden_cycles + watchdog_slack`` (capped
 by ``max_cycles``), mirroring how real fault-injection rigs detect
 livelock — a timeout calibrated against the fault-free runtime, not an
@@ -42,8 +42,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.result_cache import (CachedRunner, code_version_salt,
+                                         result_key)
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import binomial_interval
 from repro.faults.injector import FaultInjector
 from repro.faults.models import (
@@ -61,7 +63,6 @@ from repro.resilience.deadline import (
 )
 from repro.service.sharding import fanout_workers, pool_chunks
 from repro.sim.gpu import GPU, KernelResult, Launch
-from repro.sim.memory import GlobalMemory
 
 
 class Outcome(enum.Enum):
@@ -81,7 +82,7 @@ class FaultRun:
     outcome: Outcome
     detections: int
     activations: int
-    cycles: int = 0  # faulty-run kernel cycles (0 for legacy/HUNG runs)
+    cycles: int = 0  # faulty-run kernel cycles (0 for HUNG runs)
     #: metrics snapshot payload of the faulty run (None unless the
     #: campaign spec enabled observability; HUNG runs never carry one)
     obs: Optional[dict] = None
@@ -173,6 +174,19 @@ class CampaignResult:
         return binomial_interval(self.detected_runs, self.harmful_runs,
                                  confidence, method)
 
+    def coverage(self, confidence: float) -> Dict[str, float]:
+        """The detection rate with its Wilson interval, as plain data
+        (the ``coverage`` block of campaign JSON outputs)."""
+        low, high = self.coverage_interval(confidence)
+        return {
+            "rate": self.detection_rate,
+            "detected": self.detected_runs,
+            "harmful": self.harmful_runs,
+            "confidence": confidence,
+            "low": low,
+            "high": high,
+        }
+
     @property
     def sdc_rate(self) -> float:
         if not self.runs:
@@ -195,7 +209,7 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# Shared mechanics
+# Classification
 # ----------------------------------------------------------------------
 def classify(detections: int, corrupt: bool) -> Outcome:
     """The outcome lattice over (was it flagged?, is the output wrong?)."""
@@ -220,93 +234,6 @@ def _outputs_equal(a: Sequence, b: Sequence) -> bool:
         elif x != y:
             return False
     return True
-
-
-class FaultCampaign:
-    """Runs a workload repeatedly under injected faults (in-process)."""
-
-    def __init__(
-        self,
-        config: GPUConfig,
-        dmr: DMRConfig,
-        make_run: Callable[[], object],
-        output_of: Callable[[GlobalMemory], Sequence],
-        max_cycles: int = DEFAULT_MAX_FAULTY_CYCLES,
-        watchdog_factor: int = DEFAULT_WATCHDOG_FACTOR,
-        watchdog_slack: int = DEFAULT_WATCHDOG_SLACK,
-        engine: Optional[str] = None,
-    ) -> None:
-        """*make_run* builds a fresh ``WorkloadRun``-like object exposing
-        ``program``, ``launch`` and ``memory``; *output_of* extracts the
-        comparable output from a finished run's memory.  Faulty runs are
-        bounded by the cycle-budget watchdog (``watchdog_factor`` x
-        golden cycles + ``watchdog_slack``, capped at ``max_cycles``):
-        an injected fault can corrupt a loop predicate and livelock the
-        kernel, which the watchdog classifies ``HUNG``."""
-        self.config = config
-        self.dmr = dmr
-        self.make_run = make_run
-        self.output_of = output_of
-        self.max_cycles = max_cycles
-        self.watchdog_factor = watchdog_factor
-        self.watchdog_slack = watchdog_slack
-        self.engine = engine
-        self._golden_result: Optional[KernelResult] = None
-
-    def golden_result(self) -> KernelResult:
-        """The fault-free run (cached): output baseline + watchdog scale."""
-        if self._golden_result is None:
-            run = self.make_run()
-            gpu = GPU(self.config, dmr=DMRConfig.disabled(),
-                      engine=self.engine)
-            self._golden_result = gpu.launch(run.program, run.launch,
-                                             memory=run.memory)
-        return self._golden_result
-
-    def golden_output(self) -> Sequence:
-        return self.output_of(self.golden_result().memory)
-
-    def cycle_budget(self) -> int:
-        """This campaign's per-run watchdog budget."""
-        return cycle_budget(self.golden_result().cycles,
-                            self.watchdog_factor, self.watchdog_slack,
-                            self.max_cycles)
-
-    def run_fault(self, fault: Fault,
-                  golden: Optional[Sequence] = None) -> FaultRun:
-        from repro.common.errors import SimulationError
-
-        if golden is None:
-            golden = self.golden_output()
-        run = self.make_run()
-        injector = FaultInjector([fault])
-        gpu = GPU(self.config, dmr=self.dmr, fault_hook=injector,
-                  max_cycles=self.cycle_budget(), engine=self.engine)
-        try:
-            result = gpu.launch(run.program, run.launch, memory=run.memory)
-        except SimulationError:
-            return FaultRun(
-                fault=fault,
-                outcome=Outcome.HUNG,
-                detections=0,
-                activations=injector.activations,
-            )
-        output = self.output_of(run.memory)
-        corrupt = not _outputs_equal(output, golden)
-        return FaultRun(
-            fault=fault,
-            outcome=classify(len(result.detections), corrupt),
-            detections=len(result.detections),
-            activations=injector.activations,
-            cycles=result.cycles,
-        )
-
-    def run(self, faults: Sequence[Fault]) -> CampaignResult:
-        golden = self.golden_output()
-        result = CampaignResult()
-        for fault in faults:
-            result.runs.append(self.run_fault(fault, golden))
-        return result
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +305,6 @@ def fault_run_key(spec: CampaignSpec, fault: Fault) -> str:
     classification.  The engine is excluded by the bit-identity
     contract (see :class:`CampaignSpec`).
     """
-    from repro.analysis.result_cache import code_version_salt
-
     material = config_fingerprint({
         "kind": "fault-run",
         "workload": spec.workload,
@@ -499,8 +424,6 @@ def run_single_fault(spec: CampaignSpec, fault: Fault,
     later than the fault's strike cycle, which this run arms with the
     fault and finishes (consuming it).  ``None`` simulates from cycle 0.
     """
-    from repro.common.errors import SimulationError
-
     if prefix is None:
         run, launch = _start(spec, budget, [fault])
     else:
@@ -557,8 +480,6 @@ def run_fault_chunk(spec: CampaignSpec, faults: Sequence[Fault],
     in input order; ``on_result(index, run)`` sees each one as soon as
     it is classified.
     """
-    from repro.common.errors import SimulationError
-
     order = sorted(range(len(faults)),
                    key=lambda i: (faults[i].sm_id, strike_cycle(faults[i])))
     runs: List[Optional[FaultRun]] = [None] * len(faults)
@@ -594,8 +515,8 @@ def _campaign_worker(args: Tuple[CampaignSpec, List[Fault], Sequence,
     return [run.to_payload() for run in run_fault_chunk(*args)]
 
 
-class CampaignEngine:
-    """Scaled fault-injection campaigns: parallel, cached, resumable.
+class CampaignEngine(CachedRunner):
+    """Fault-injection campaigns: parallel, cached, resumable.
 
     The golden run is fetched through the same content-addressed
     :class:`~repro.analysis.result_cache.ResultCache` the suite runner
@@ -604,64 +525,31 @@ class CampaignEngine:
     :func:`fault_run_key` — rerunning a finished campaign, or resuming
     an interrupted one, re-simulates only the missing faults.
 
-    ``cache`` selects the persistent layer exactly like
-    :class:`~repro.analysis.runner.SuiteRunner`: ``None``/``False``
-    in-memory only, ``True`` the default directory, a path, or a ready
-    :class:`ResultCache`.  ``jobs`` is the default fan-out for
-    :meth:`run`.
-
-    Fan-outs are supervised (:mod:`repro.resilience`): worker deaths
-    retry with backoff, pool collapses rebuild and resubmit only the
-    lost chunks, and corrupt cache entries quarantine and recompute —
-    all counted in the engine's harness registry
-    (:meth:`harness_snapshot`).  ``deadline`` bounds each worker
-    chunk's wall clock: ``"auto"`` (default) calibrates from the
-    measured golden runtime via
-    :func:`repro.resilience.deadline.wall_budget` (no deadline when
-    the golden run came from cache — nothing was timed), a float is
-    taken as seconds *per fault*, ``None`` disables.  A supplied
-    ``supervisor`` wins; if its own deadline is unset the engine's
-    calibration is installed onto it.
+    ``cache``, ``jobs`` and ``supervisor`` work as for every
+    :class:`~repro.analysis.result_cache.CachedRunner`; ``jobs`` is the
+    default fan-out for :meth:`run`.  Worker deaths retry with backoff,
+    pool collapses rebuild and resubmit only the lost chunks, and
+    corrupt cache entries quarantine and recompute.  Unless a supplied
+    ``supervisor`` sets its own, each worker chunk's wall clock is
+    bounded by :func:`repro.resilience.deadline.wall_budget` of the
+    measured golden runtime; there is no deadline when the golden run
+    came from cache (nothing was timed).
     """
 
-    def __init__(self, spec: CampaignSpec,
-                 cache=None, jobs: int = 1,
-                 supervisor=None,
-                 deadline="auto") -> None:
-        from repro.analysis.result_cache import ResultCache
-        from repro.obs.metrics import MetricsRegistry
-        from repro.resilience import Supervisor, declare_harness_metrics
+    summary_label = "campaign-cache"
+    result_type = FaultRun
 
+    def __init__(self, spec: CampaignSpec, cache=None, jobs: int = 1,
+                 supervisor=None) -> None:
+        super().__init__(cache, jobs, supervisor)
+        if self.supervisor.deadline is None:
+            self.supervisor.deadline = self._task_deadline
         self.spec = spec
-        self.jobs = max(1, jobs)
-        self._deadline = deadline
-        if supervisor is not None:
-            self.supervisor = supervisor
-            self.harness = supervisor.registry
-            if supervisor.deadline is None:
-                supervisor.deadline = self._task_deadline
-        else:
-            self.harness = declare_harness_metrics(MetricsRegistry())
-            self.supervisor = Supervisor(registry=self.harness,
-                                         deadline=self._task_deadline)
-        if isinstance(cache, ResultCache):
-            self.persistent_cache: Optional[ResultCache] = cache
-        elif cache is True:
-            self.persistent_cache = ResultCache(registry=self.harness)
-        elif cache:
-            self.persistent_cache = ResultCache(cache,
-                                                registry=self.harness)
-        else:
-            self.persistent_cache = None
-        self._runs: Dict[str, FaultRun] = {}
         self._golden: Optional[KernelResult] = None
         self._golden_seconds: Optional[float] = None
-        self.simulations = 0  # fault runs actually executed anywhere
 
     # ------------------------------------------------------------------
     def _golden_key(self) -> str:
-        from repro.analysis.result_cache import result_key
-
         spec = self.spec
         # the golden baseline never records metrics, so obs=False keeps
         # it shared with suite-runner baselines regardless of spec.obs
@@ -701,14 +589,6 @@ class CampaignEngine:
                             spec.watchdog_factor, spec.watchdog_slack,
                             spec.max_cycles)
 
-    def _per_fault_seconds(self) -> Optional[float]:
-        """Wall seconds one faulty run is expected to take (or None)."""
-        if self._deadline is None:
-            return None
-        if isinstance(self._deadline, (int, float)):
-            return float(self._deadline)
-        return self._golden_seconds  # "auto": measured, else None
-
     def _task_deadline(self, args: Tuple) -> Optional[float]:
         """Supervisor deadline for one worker chunk.
 
@@ -716,46 +596,12 @@ class CampaignEngine:
         the wall-clock analogue of the cycle watchdog, calibrated from
         the same golden run.
         """
-        per_fault = self._per_fault_seconds()
-        if per_fault is None:
+        if self._golden_seconds is None:
             return None
         faults = args[1]
-        return wall_budget(per_fault * max(1, len(faults)))
+        return wall_budget(self._golden_seconds * max(1, len(faults)))
 
     # ------------------------------------------------------------------
-    def _lookup(self, key: str) -> Optional[FaultRun]:
-        if key in self._runs:
-            return self._runs[key]
-        if self.persistent_cache is not None:
-            payload = self.persistent_cache.get_payload(key)
-            if payload is not None:
-                try:
-                    run = FaultRun.from_payload(payload)
-                except (KeyError, TypeError, ValueError):
-                    return None  # foreign/stale payload: treat as miss
-                self._runs[key] = run
-                return run
-        return None
-
-    def _store(self, key: str, run: FaultRun) -> None:
-        self._runs[key] = run
-        self.simulations += 1
-        if self.persistent_cache is not None:
-            self.persistent_cache.put_payload(key, run.to_payload())
-
-    # ------------------------------------------------------------------
-    def run_fault(self, fault: Fault) -> FaultRun:
-        """Classify one fault (through the cache)."""
-        key = fault_run_key(self.spec, fault)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        run = run_single_fault(self.spec, fault, self.golden_output(),
-                               self.cycle_budget(),
-                               self.golden_result().cycles)
-        self._store(key, run)
-        return run
-
     def run(self, faults: Sequence[Fault], *,
             parallel: Optional[int] = None) -> CampaignResult:
         """Classify every fault, fanning cache misses out to workers.
@@ -799,34 +645,4 @@ class CampaignEngine:
                             lambda index, run: self._store(order[index][0],
                                                            run))
 
-        return CampaignResult(runs=[self._runs[key] for key in keys])
-
-    # ------------------------------------------------------------------
-    def harness_snapshot(self):
-        """Supervision counters (retries, timeouts, pool rebuilds,
-        cache corruption/quarantines) accumulated by this engine."""
-        from repro.obs.metrics import MetricSnapshot
-        return MetricSnapshot.from_registry(self.harness)
-
-    def cache_summary(self) -> str:
-        """One-line accounting, printed to stderr by the CLI."""
-        parts = [f"simulations={self.simulations}",
-                 f"memory-entries={len(self._runs)}"]
-        if self.persistent_cache is not None:
-            pc = self.persistent_cache
-            parts.append(f"disk-hits={pc.hits}")
-            parts.append(f"disk-stores={pc.stores}")
-            if pc.corrupt:
-                parts.append(f"corrupt={pc.corrupt}")
-                parts.append(f"quarantined={pc.quarantined}")
-            parts.append(f"dir={pc.cache_dir}")
-        retries = self.harness.value("resilience_retries")
-        if retries:
-            parts.append(f"retries={retries}")
-        timeouts = self.harness.value("resilience_timeouts")
-        if timeouts:
-            parts.append(f"timeouts={timeouts}")
-        rebuilds = self.harness.value("resilience_pool_rebuilds")
-        if rebuilds:
-            parts.append(f"pool-rebuilds={rebuilds}")
-        return "campaign-cache: " + " ".join(parts)
+        return CampaignResult(runs=[self._memory[key] for key in keys])

@@ -1,11 +1,11 @@
 """Supervised process-pool fan-out: timeouts, retries, pool recovery.
 
-``pool_map`` (PR 1) assumed its workers never fail: one hung
-simulation, one OOM-killed worker or one exception wedged or killed an
-entire multi-thousand-run campaign.  :class:`Supervisor` keeps the same
-contract — map a picklable module-level function over plain-data args,
-preserve order — and adds the discipline the paper applies to SIMT
-lanes:
+A bare process pool assumes its workers never fail: one hung
+simulation, one OOM-killed worker or one exception wedges or kills an
+entire multi-thousand-run campaign.  :class:`Supervisor` keeps the bare
+pool's contract — map a picklable module-level function over plain-data
+args, preserve order — and adds the discipline the paper applies to
+SIMT lanes:
 
 * **Deadlines.**  Each task may carry a wall-clock deadline (a float,
   or a callable of the task arg — campaigns calibrate it from the
@@ -156,8 +156,8 @@ class Supervisor:
     def map(self, fn: Callable, args: Sequence, workers: int) -> List:
         """Apply *fn* to every arg, in order, surviving worker failure.
 
-        The drop-in replacement for the old ``pool_map`` contract:
-        *fn* must be module-level (picklable under any multiprocessing
+        The fan-out primitive of every runner and sweep: *fn* must be
+        module-level (picklable under any multiprocessing
         start method) and should return plain data.  With ``workers <=
         1`` (or one task) the map runs in-process — retries still
         apply, deadlines do not (nothing to kill).

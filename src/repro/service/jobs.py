@@ -307,7 +307,6 @@ def campaign_merged_payload(workload: str, scheme: str, scale: float,
     from repro.faults.campaign import CampaignResult, FaultRun
 
     result = CampaignResult(runs=[FaultRun.from_payload(p) for p in runs])
-    low, high = result.coverage_interval(MERGED_CONFIDENCE)
     return {
         "kind": "campaign",
         "workload": workload,
@@ -317,14 +316,7 @@ def campaign_merged_payload(workload: str, scheme: str, scale: float,
         "samples": result.total,
         "runs": runs,
         "outcomes": result.summary(),
-        "coverage": {
-            "rate": result.detection_rate,
-            "detected": result.detected_runs,
-            "harmful": result.harmful_runs,
-            "confidence": MERGED_CONFIDENCE,
-            "low": low,
-            "high": high,
-        },
+        "coverage": result.coverage(MERGED_CONFIDENCE),
         "snapshot": result.metrics().to_payload(),
     }
 

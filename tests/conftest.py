@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
+from repro.faults.campaign import CampaignSpec
 from repro.isa.opcodes import CmpOp
 from repro.kernel.builder import KernelBuilder
 from repro.sim.gpu import GPU
@@ -44,6 +47,38 @@ def build_counting_kernel(iterations: int = 4) -> object:
     b.st_global(gid, acc)
     b.exit()
     return b.build()
+
+
+class CountingRun:
+    """A fresh launch of the counting kernel in one block of *threads*."""
+
+    def __init__(self, iterations: int, threads: int) -> None:
+        self.program = build_counting_kernel(iterations)
+        self.launch = LaunchConfig(1, threads)
+        self.memory = GlobalMemory()
+        self.threads = threads
+
+    def output_of(self, memory: GlobalMemory) -> list:
+        return [memory.load(g) for g in range(self.threads)]
+
+
+@dataclass(frozen=True)
+class CountingSpec(CampaignSpec):
+    """A fault campaign over the hand-built counting kernel.
+
+    ``prepare`` returns a :class:`CountingRun` instead of a registry
+    workload.  The cache keys do not see ``iterations``/``threads``,
+    so engines over this spec must stay in-memory (no ``cache=``).
+    """
+
+    workload: str = "counting"
+    config: GPUConfig = field(default_factory=lambda: GPUConfig.small(1))
+    dmr: DMRConfig = field(default_factory=DMRConfig.paper_default)
+    iterations: int = 6
+    threads: int = 32
+
+    def prepare(self) -> CountingRun:
+        return CountingRun(self.iterations, self.threads)
 
 
 def build_divergent_kernel() -> object:

@@ -12,13 +12,12 @@ claims on live fault injections:
 import pytest
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
-from repro.faults.campaign import FaultCampaign, Outcome
+from repro.faults.campaign import CampaignEngine, CampaignSpec, Outcome
 from repro.faults.injector import FaultInjector
 from repro.faults.models import StuckAtFault, TransientFault
 from repro.isa.opcodes import UnitType
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
-from repro.workloads import get_workload
 
 from tests.conftest import build_counting_kernel
 
@@ -104,16 +103,9 @@ class TestTransientDetection:
 class TestCampaignHarness:
     @pytest.fixture
     def campaign(self):
-        workload = get_workload("scan")
-        config = GPUConfig.small(1)
-        return FaultCampaign(
-            config=config,
-            dmr=DMRConfig.paper_default(),
-            make_run=lambda: workload.prepare(scale=0.25),
-            output_of=lambda memory: workload.prepare(
-                scale=0.25
-            ).output_of(memory),
-        )
+        return CampaignEngine(CampaignSpec(
+            workload="scan", config=GPUConfig.small(1),
+            dmr=DMRConfig.paper_default(), scale=0.25))
 
     def test_golden_run_reproducible(self, campaign):
         assert campaign.golden_output() == campaign.golden_output()

@@ -16,14 +16,14 @@ import random
 import pytest
 
 from repro.common.config import DMRConfig, GPUConfig
-from repro.faults.campaign import (CampaignEngine, CampaignSpec,
-                                   FaultCampaign, Outcome, fault_run_key)
+from repro.faults.campaign import (CampaignEngine, CampaignSpec, Outcome,
+                                   fault_run_key)
 from repro.faults.models import TransientFault
 from repro.faults.sampler import FaultSampler
 from repro.isa.opcodes import UnitType
-from repro.workloads import get_workload
+from repro.resilience.deadline import wall_budget
 
-from tests.conftest import build_counting_kernel
+from tests.conftest import CountingSpec
 
 
 @pytest.fixture
@@ -112,6 +112,34 @@ class TestParallelFanOut:
         assert warm.simulations == 0
 
 
+class TestDeadlineCalibration:
+    """Each worker chunk's wall-clock deadline comes from the golden run."""
+
+    @staticmethod
+    def chunk(spec, faults) -> tuple:
+        """The ``_campaign_worker`` argument tuple for one chunk."""
+        return (spec, faults, [], 0, 0)
+
+    def test_measured_golden_run_scales_with_chunk_size(self, spec):
+        faults = sampled_faults(spec, 3)
+        engine = CampaignEngine(spec)
+        engine.golden_result()
+        seconds = engine._golden_seconds
+        assert seconds is not None and seconds > 0
+        deadline = engine.supervisor.deadline
+        for k in (1, 3):
+            assert (deadline(self.chunk(spec, faults[:k]))
+                    == wall_budget(seconds * k))
+
+    def test_cache_served_golden_run_has_no_deadline(self, spec, tmp_path):
+        faults = sampled_faults(spec, 3)
+        CampaignEngine(spec, cache=tmp_path).golden_result()
+        warm = CampaignEngine(spec, cache=tmp_path)
+        warm.golden_result()
+        assert warm.persistent_cache.hits == 1
+        assert warm.supervisor.deadline(self.chunk(spec, faults)) is None
+
+
 class TestSampledCoverageBracketsExhaustive:
     """The statistical-validity acceptance criterion.
 
@@ -128,24 +156,7 @@ class TestSampledCoverageBracketsExhaustive:
 
     @pytest.fixture(scope="class")
     def campaign(self):
-        program = build_counting_kernel(6)
-        threads = self.THREADS
-
-        class Run:
-            def __init__(self):
-                from repro.common.config import LaunchConfig
-                from repro.sim.memory import GlobalMemory
-                self.program = program
-                self.launch = LaunchConfig(1, threads)
-                self.memory = GlobalMemory()
-
-        return FaultCampaign(
-            config=GPUConfig.small(1),
-            dmr=DMRConfig.paper_default(),
-            make_run=Run,
-            output_of=lambda memory: [memory.load(g)
-                                      for g in range(threads)],
-        )
+        return CampaignEngine(CountingSpec(threads=self.THREADS))
 
     @pytest.fixture(scope="class")
     def universe(self, campaign):
@@ -161,7 +172,8 @@ class TestSampledCoverageBracketsExhaustive:
 
     @pytest.fixture(scope="class")
     def exhaustive(self, campaign, universe):
-        return {id(f): campaign.run_fault(f) for f in universe}
+        runs = campaign.run(universe).runs
+        return {id(f): run for f, run in zip(universe, runs)}
 
     def test_interval_brackets_exhaustive_rate(self, campaign, universe,
                                                exhaustive):

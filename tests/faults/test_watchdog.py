@@ -14,8 +14,7 @@ import pytest
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
 from repro.common.errors import SimulationError
-from repro.faults.campaign import (CampaignEngine, CampaignSpec,
-                                   FaultCampaign, Outcome)
+from repro.faults.campaign import CampaignEngine, CampaignSpec, Outcome
 from repro.faults.injector import FaultInjector
 from repro.faults.models import StuckAtFault
 from repro.isa.opcodes import UnitType
@@ -25,7 +24,7 @@ from repro.resilience.deadline import (DEFAULT_MAX_FAULTY_CYCLES,
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 
-from tests.conftest import build_counting_kernel
+from tests.conftest import CountingSpec, build_counting_kernel
 
 #: forces the SETP loop predicate permanently true on every lane it hits
 LIVELOCK_FAULT = StuckAtFault(sm_id=0, hw_lane=0, unit=UnitType.SP,
@@ -57,25 +56,12 @@ class TestLivelockIsReal:
 
 
 class TestCampaignWatchdog:
-    def _campaign(self) -> FaultCampaign:
-        program = build_counting_kernel(6)
-
-        class Run:
-            def __init__(self):
-                self.program = program
-                self.launch = LaunchConfig(1, 32)
-                self.memory = GlobalMemory()
-
-        return FaultCampaign(
-            config=GPUConfig.small(1),
-            dmr=DMRConfig.paper_default(),
-            make_run=Run,
-            output_of=lambda memory: [memory.load(g) for g in range(32)],
-        )
+    def _campaign(self) -> CampaignEngine:
+        return CampaignEngine(CountingSpec())
 
     def test_campaign_classifies_livelock_as_hung(self):
         campaign = self._campaign()
-        run = campaign.run_fault(LIVELOCK_FAULT)
+        run = campaign.run([LIVELOCK_FAULT]).runs[0]
         assert run.outcome is Outcome.HUNG
         assert run.detections == 0
 
@@ -91,7 +77,7 @@ class TestCampaignWatchdog:
         spec = CampaignSpec(workload="scan", config=GPUConfig.small(1),
                             dmr=DMRConfig.paper_default(), scale=0.25)
         engine = CampaignEngine(spec)
-        run = engine.run_fault(LIVELOCK_FAULT)
+        run = engine.run([LIVELOCK_FAULT]).runs[0]
         assert run.outcome is Outcome.HUNG
 
     def test_hung_runs_excluded_from_coverage(self):

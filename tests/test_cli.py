@@ -1,8 +1,14 @@
 """CLI tests (``python -m repro``)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.runner import experiment_config
+from repro.common.config import DMRConfig
+from repro.faults import CampaignEngine, CampaignSpec, FaultSampler
+from repro.service.jobs import campaign_merged_payload
 from repro.workloads import PAPER_ORDER
 
 
@@ -175,3 +181,26 @@ class TestInject:
         assert "StuckAtFault" in out
         assert "outcome: HUNG (" in out
         assert "recovery plan" not in out
+
+
+class TestCampaign:
+    def test_json_matches_service_merged_payload(self, capsys, tmp_path):
+        """``campaign`` and the fabric's merge report one coverage."""
+        out = tmp_path / "campaign.json"
+        assert main(["campaign", "scan", "--samples", "20", "--no-cache",
+                     "--out", str(out)]) == 0
+        assert "campaign-cache: simulations=" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+
+        # the command's defaults: scale 0.5, seed 0, 1 SM, 4 windows
+        spec = CampaignSpec(workload="scan",
+                            config=experiment_config(num_sms=1),
+                            dmr=DMRConfig.paper_default(), scale=0.5)
+        engine = CampaignEngine(spec)
+        faults = FaultSampler(spec.config, windows=4).sample(
+            20, engine.golden_result().cycles, seed=0)
+        runs = [run.to_payload() for run in engine.run(faults).runs]
+        merged = campaign_merged_payload("scan", "dmr", 0.5, 0, runs)
+        assert payload["samples"] == 20
+        assert payload["coverage"] == merged["coverage"]
+        assert payload["outcomes"] == merged["outcomes"]
